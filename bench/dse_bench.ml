@@ -7,6 +7,7 @@
    same front.  Deterministic content, wall-clock timing. *)
 
 let run () =
+  let domains = Domain.recommended_domain_count () in
   let config =
     { (Dse.Engine.default ~cell:"NAND2") with
       Dse.Engine.style = Layout.Cell.Immune_new }
@@ -15,12 +16,13 @@ let run () =
     let t0 = Unix.gettimeofday () in
     let o =
       Core.Diag.ok_exn
-        (Dse.Engine.run ~domains:4 { config with Dse.Engine.adaptive })
+        (Dse.Engine.run ~domains { config with Dse.Engine.adaptive })
     in
     (o, (Unix.gettimeofday () -. t0) *. 1000.)
   in
-  Printf.printf "# dse campaign: immune NAND2, %d-point fine grid\n"
-    (Dse.Knobs.card config.Dse.Engine.space);
+  Printf.printf
+    "# dse campaign: immune NAND2, %d-point fine grid, %d domains\n"
+    (Dse.Knobs.card config.Dse.Engine.space) domains;
   let report label (o : Dse.Engine.outcome) wall_ms =
     Printf.printf
       "%-10s  %4d/%d points  %6d trials  front=%d  rounds=%d  %7.0f ms\n%!"

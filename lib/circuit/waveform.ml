@@ -8,7 +8,11 @@ let create () = { times = Array.make 1024 0.; values = Array.make 1024 0.; n = 0
 
 let push t time v =
   if t.n = Array.length t.times then begin
-    let grow a = Array.append a (Array.make (Array.length a) 0.) in
+    let grow a =
+      let b = Array.make (2 * Array.length a) 0. in
+      Array.blit a 0 b 0 t.n;
+      b
+    in
     t.times <- grow t.times;
     t.values <- grow t.values
   end;

@@ -50,20 +50,49 @@ let threshold t =
    through the threshold) and a tanh knee in vds. *)
 let softplus_overdrive ~phi ~ov = phi *. log (1. +. exp (ov /. phi))
 
-let i_tube t ~eta ~vgs ~vds =
+(* The technology constants of the tube current, computed once instead of
+   on every I–V call: the nominal threshold, the softplus smoothing
+   voltage, the softplus overdrive at full gate drive (the drive law's
+   denominator) and the knee at vds = vdd. *)
+type iv = {
+  tech : tech;
+  vt : float;
+  phi : float;
+  full : float;
+  on_knee : float;
+}
+
+let iv t =
+  let vt = threshold t in
+  let phi = t.ss_mv_dec /. 1000. /. log 10. in
+  {
+    tech = t;
+    vt;
+    phi;
+    full = softplus_overdrive ~phi ~ov:(t.vdd -. vt);
+    on_knee = tanh (t.vdd /. t.v_crit);
+  }
+
+(* [sat] = i_tube_sat *. eta, so the product associates as
+   ((i_tube_sat *. eta) *. drive) *. knee: the order the bit-exact
+   characterization goldens pin. *)
+let tube_current k ~sat ~vt ~vgs ~knee =
+  let ov_eff = softplus_overdrive ~phi:k.phi ~ov:(vgs -. vt) in
+  let drive = (ov_eff /. k.full) ** k.tech.alpha in
+  sat *. drive *. knee
+
+let i_tube k ~sat ~vgs ~vds =
   if vds <= 0. then 0.
-  else begin
-    let vt = threshold t in
-    let phi = t.ss_mv_dec /. 1000. /. log 10. in
-    let ov_eff = softplus_overdrive ~phi ~ov:(vgs -. vt) in
-    let full = softplus_overdrive ~phi ~ov:(t.vdd -. vt) in
-    let drive = (ov_eff /. full) ** t.alpha in
-    let knee = tanh (vds /. t.v_crit) in
-    t.i_tube_sat *. eta *. drive *. knee
-  end
+  else tube_current k ~sat ~vt:k.vt ~vgs ~knee:(tanh (vds /. k.tech.v_crit))
+
+let tube_on_current k ~eta ~vt =
+  tube_current k ~sat:(k.tech.i_tube_sat *. eta) ~vt ~vgs:k.tech.vdd
+    ~knee:k.on_knee
 
 let on_current_eta t ~tubes ~eta =
-  float_of_int tubes *. i_tube t ~eta ~vgs:t.vdd ~vds:t.vdd
+  let vdd = t.vdd in
+  float_of_int tubes
+  *. i_tube (iv t) ~sat:(t.i_tube_sat *. eta) ~vgs:vdd ~vds:vdd
 
 let on_current t ~tubes ~width_nm =
   let eta = screening t ~pitch_nm:(pitch_of ~width_nm ~tubes) in
@@ -84,6 +113,8 @@ let make t ?name ~polarity ~tubes ~width_nm () =
   if tubes < 1 then invalid_arg "Cnfet.make: tubes must be >= 1";
   let eta = screening t ~pitch_nm:(pitch_of ~width_nm ~tubes) in
   let nf = float_of_int tubes in
+  let k = iv t in
+  let sat = t.i_tube_sat *. eta in
   let af = 1e-18 in
   let name =
     match name with
@@ -96,7 +127,7 @@ let make t ?name ~polarity ~tubes ~width_nm () =
   {
     Model.name;
     polarity;
-    i_d = (fun ~vgs ~vds -> nf *. i_tube t ~eta ~vgs ~vds);
+    i_d = (fun ~vgs ~vds -> nf *. i_tube k ~sat ~vgs ~vds);
     c_gate = gate_cap_af t ~tubes ~width_nm *. af;
     c_drain =
       ((t.c_drain_af *. Float.max 0.1 (width_nm /. t.ref_width_nm))

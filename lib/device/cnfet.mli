@@ -48,6 +48,19 @@ val pitch_of : width_nm:float -> tubes:int -> float
 
 val threshold : tech -> float
 
+type iv
+(** The tube-current evaluator of one technology: the constants of the
+    drive law (nominal threshold, softplus smoothing voltage, softplus
+    overdrive at full gate drive, knee at [vds = vdd]) computed once, so
+    an I–V call evaluates only its input-dependent terms. *)
+
+val iv : tech -> iv
+
+val tube_on_current : iv -> eta:float -> vt:float -> float
+(** Current of one tube with threshold [vt] and screening factor [eta]
+    at [vgs = vds = vdd], through the same drive law as {!make}'s
+    devices (whose tubes sit at the nominal {!threshold}). *)
+
 val make : tech -> ?name:string -> polarity:Model.polarity -> tubes:int
   -> width_nm:float -> unit -> Model.t
 (** CNFET with [tubes] tubes under a gate [width_nm] wide.  Drive and

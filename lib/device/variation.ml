@@ -39,10 +39,8 @@ let stats_of samples =
 (* One sampled device: per-tube threshold from its sampled diameter, with
    the drive evaluated at vgs = vds = vdd (the same operating point the
    calibration anchors use). *)
-let sample_on_current (t : Cnfet.tech) spec rng ~tubes ~width_nm =
+let sample_on_current (t : Cnfet.tech) iv spec rng ~tubes ~width_nm =
   let nominal_pitch = Cnfet.pitch_of ~width_nm ~tubes in
-  let phi = t.Cnfet.ss_mv_dec /. 1000. /. log 10. in
-  let soft ov = phi *. log (1. +. exp (ov /. phi)) in
   let tube_current () =
     let d =
       Float.max 0.4
@@ -57,9 +55,7 @@ let sample_on_current (t : Cnfet.tech) spec rng ~tubes ~width_nm =
              +. gaussian rng ~mean:0. ~sigma:spec.pitch_variation_frac))
       else nominal_pitch
     in
-    let eta = Cnfet.screening t ~pitch_nm:pitch in
-    let drive = (soft (t.Cnfet.vdd -. vt) /. soft (t.Cnfet.vdd -. Cnfet.threshold t)) ** t.Cnfet.alpha in
-    t.Cnfet.i_tube_sat *. eta *. drive *. tanh (t.Cnfet.vdd /. t.Cnfet.v_crit)
+    Cnfet.tube_on_current iv ~eta:(Cnfet.screening t ~pitch_nm:pitch) ~vt
   in
   let total = ref 0. in
   for _ = 1 to tubes do
@@ -76,9 +72,10 @@ let on_current_stats ?(domains = 1) t spec ~tubes ~width_nm =
       (Printf.sprintf
          "Device.Variation.on_current_stats: samples must be positive (got %d)"
          spec.samples);
+  let iv = Cnfet.iv t in
   let sample i =
     let rng = Parallel.Split_rng.state ~seed:spec.seed ~stream:i in
-    sample_on_current t spec rng ~tubes ~width_nm
+    sample_on_current t iv spec rng ~tubes ~width_nm
   in
   let samples =
     Parallel.Pool.with_pool ~domains (fun pool ->

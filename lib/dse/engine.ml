@@ -152,35 +152,47 @@ let run_on ~pool (config : config) =
       seed = config.seed;
     }
   in
-  let char_cache : (float * int, char_point) Hashtbl.t = Hashtbl.create 16 in
-  let characterized ~pitch_nm ~drive =
-    match Hashtbl.find_opt char_cache (pitch_nm, drive) with
-    | Some c -> c
-    | None ->
-      let c =
-        ok_or_abort
-          (let* lib = Stdcell.Library.cnfet ~rules ~pitch_nm ~drives:[ drive ] () in
-           let* entry = Stdcell.Library.find lib ~name:config.cell ~drive in
-           let width_lambda = entry.Stdcell.Library.width_lambda_base in
-           let tubes = Stdcell.Library.tubes_for ~pitch_nm tech ~rules ~width_lambda in
-           let width_nm = Pdk.Rules.nm_of_lambda rules width_lambda in
-           let sampler =
-             Device.Variation.prepare_sampler tech spec ~tubes ~width_nm
-           in
-           let* arcs =
-             Stdcell.Characterize.all_arcs ~variation:sampler ~lib entry
-               ~load_inv1x:config.load
-           in
-           Ok
-             {
-               cp_fn = entry.Stdcell.Library.fn;
-               cp_tubes = tubes;
-               cp_delay_ps = Stdcell.Characterize.worst_delay arcs *. 1e12;
-               cp_energy_fj = Stdcell.Characterize.total_energy arcs *. 1e15;
-             })
-      in
-      Hashtbl.add char_cache (pitch_nm, drive) c;
-      c
+  let characterize (pitch_nm, drive) =
+    let* lib = Stdcell.Library.cnfet ~rules ~pitch_nm ~drives:[ drive ] () in
+    let* entry = Stdcell.Library.find lib ~name:config.cell ~drive in
+    let width_lambda = entry.Stdcell.Library.width_lambda_base in
+    let tubes = Stdcell.Library.tubes_for ~pitch_nm tech ~rules ~width_lambda in
+    let width_nm = Pdk.Rules.nm_of_lambda rules width_lambda in
+    let sampler = Device.Variation.prepare_sampler tech spec ~tubes ~width_nm in
+    let* arcs =
+      Stdcell.Characterize.all_arcs ~variation:sampler ~lib entry
+        ~load_inv1x:config.load
+    in
+    Ok
+      {
+        cp_fn = entry.Stdcell.Library.fn;
+        cp_tubes = tubes;
+        cp_delay_ps = Stdcell.Characterize.worst_delay arcs *. 1e12;
+        cp_energy_fj = Stdcell.Characterize.total_energy arcs *. 1e15;
+      }
+  in
+  let char_cache : (float * int, (char_point, Core.Diag.t) result) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  (* Characterize a round's uncached (pitch, drive) keys on the pool before
+     any of its points is scored.  A key's result is a pure function of
+     (cell, pitch, drive, load, seed), so the pool only decides how fast
+     the cache fills; a failed key is stored and raised only when the
+     evaluation order reaches it, so the first error is the serial one. *)
+  let prefetch idxs =
+    let keys =
+      List.fold_left
+        (fun acc idx ->
+          let p = Knobs.point_of_index space idx in
+          let key = (p.Knobs.pitch_nm, p.Knobs.drive) in
+          if Hashtbl.mem char_cache key || List.mem key acc then acc
+          else key :: acc)
+        [] idxs
+      |> List.rev |> Array.of_list
+    in
+    Parallel.Pool.init_array pool (Array.length keys) ~f:(fun i ->
+        characterize keys.(i))
+    |> Array.iteri (fun i r -> Hashtbl.add char_cache keys.(i) r)
   in
   let mc_cache : (int * Layout.Cell.scheme, mc_point) Hashtbl.t =
     Hashtbl.create 8
@@ -293,7 +305,9 @@ let run_on ~pool (config : config) =
     if not (Hashtbl.mem by_ordinal ordinal) then begin
       Hashtbl.add by_ordinal ordinal ();
       let p = Knobs.point_of_index space idx in
-      let c = characterized ~pitch_nm:p.Knobs.pitch_nm ~drive:p.Knobs.drive in
+      let c =
+        ok_or_abort (Hashtbl.find char_cache (p.Knobs.pitch_nm, p.Knobs.drive))
+      in
       let m =
         mc_prepared ~fn:c.cp_fn ~drive:p.Knobs.drive ~scheme:p.Knobs.scheme
       in
@@ -364,7 +378,9 @@ let run_on ~pool (config : config) =
           ("level", Telemetry.Int level);
           ("candidates", Telemetry.Int (List.length idxs));
         ]
-      (fun () -> List.iter eval_point idxs)
+      (fun () ->
+        prefetch idxs;
+        List.iter eval_point idxs)
   in
   let by_ord_sorted idxs =
     List.sort_uniq

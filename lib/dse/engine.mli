@@ -39,7 +39,11 @@
     pin their chunk size to the batch, and points are evaluated in a
     deterministic order — so for a fixed config the outcome is
     bit-identical at any [~domains], and front points carry bit-identical
-    values under adaptive and exhaustive evaluation. *)
+    values under adaptive and exhaustive evaluation.  Each round first
+    characterizes its uncached (pitch, drive) keys in parallel; a key's
+    result depends only on (cell, pitch, drive, load, seed), and a failed
+    key is raised only when evaluation order reaches it, so the first
+    error is the same at any [~domains] too. *)
 
 type config = {
   cell : string;  (** catalog cell name, e.g. "NAND2" *)
@@ -104,8 +108,9 @@ val validate : config -> (unit, Core.Diag.t) result
 
 val run : ?pool:Parallel.Pool.t -> ?domains:int -> config
   -> (outcome, Core.Diag.t) result
-(** Run the campaign.  With [?pool] the misposition batches run on that
-    existing pool ([domains], default 1, is then ignored).  Records a
+(** Run the campaign.  With [?pool] the per-round characterization and
+    the misposition batches run on that existing pool ([domains],
+    default 1, is then ignored).  Records a
     [dse.campaign] span with one [dse.round] child per refinement round,
     counters [dse.points] / [dse.trials] / [dse.pruned] and gauge
     [dse.front_size] when {!Telemetry.enabled}. *)

@@ -1,8 +1,9 @@
 (* DSE subsystem tests: Pareto-front laws as QCheck properties, the
    adaptive-equals-exhaustive acceptance on a small immune-style space,
-   bit-identical outcomes across domain counts, the Wilson interval, the
-   characterize variation-sampler golden (the no-sampler path must stay
-   byte-identical), and the dse job codec. *)
+   bit-identical outcomes and first errors across domain counts (with the
+   per-round characterization prefetch), the dse document digest golden,
+   the Wilson interval, the characterize variation-sampler golden (the
+   no-sampler path must stay byte-identical), and the dse job codec. *)
 
 module K = Dse.Knobs
 module E = Dse.Engine
@@ -191,6 +192,65 @@ let domain_invariance () =
   checkb "fronts bit-identical across domains" true (a.E.front = b.E.front);
   check_int "trials identical" a.E.trials_total b.E.trials_total
 
+(* A vulnerable-style space over 2 pitches x 2 drives: its first round
+   covers the whole grid, so the engine characterizes 4 (pitch, drive)
+   keys together on the pool before scoring any point. *)
+let prefetch_config =
+  {
+    (E.default ~cell:"NAND2") with
+    E.style = Layout.Cell.Vulnerable;
+    E.space =
+      {
+        K.pitches_nm = [| 4.; 6. |];
+        K.p_metallic = [| 0.05; 0.33 |];
+        K.removal_eff = [| 0.99 |];
+        K.drives = [| 1; 2 |];
+        K.schemes = [| Layout.Cell.Scheme1 |];
+      };
+    E.max_trials = 120;
+    E.min_trials = 24;
+    E.batch = 24;
+  }
+
+let prefetch_domain_invariance () =
+  let run domains = Core.Diag.ok_exn (E.run ~domains prefetch_config) in
+  let a = run 1 in
+  check_int "first round covers the grid" 8 (List.length a.E.evaluated);
+  List.iter
+    (fun domains ->
+      let b = run domains in
+      let at what = Printf.sprintf "%s at %d domains" what domains in
+      checkb (at "evaluations bit-identical") true
+        (a.E.evaluated = b.E.evaluated);
+      checkb (at "fronts bit-identical") true (a.E.front = b.E.front);
+      check_int (at "trials identical") a.E.trials_total b.E.trials_total)
+    [ 2; 4 ]
+
+(* NOR2 has no drive-2 cell: the campaign fails on the first point at
+   drive 2 in evaluation order, with the library's diagnostic, however
+   many keys were characterized around it. *)
+let prefetch_error_order () =
+  List.iter
+    (fun domains ->
+      match E.run ~domains { prefetch_config with E.cell = "NOR2" } with
+      | Ok _ -> Alcotest.failf "NOR2 at drive 2 accepted at %d domains" domains
+      | Error d ->
+        Alcotest.(check string)
+          (Printf.sprintf "diagnostic at %d domains" domains)
+          "library: error: no cell NOR2 at drive 2 in library cnfet65 \
+           (library=cnfet65, cell=NOR2, drive=2, available_drives=1)"
+          (Core.Diag.to_string d))
+    [ 1; 4 ]
+
+(* The served dse document of the small vulnerable campaign, pinned by
+   digest: the device, transient, sampler and MC arithmetic all feed it. *)
+let dse_document_golden () =
+  let o = Core.Diag.ok_exn (E.run prefetch_config) in
+  Alcotest.(check string)
+    "dse_json digest" "e732da5355ca7021721718b94337ef46"
+    (Digest.to_hex
+       (Digest.string (Service.Json.to_string (Service.Runner.dse_json o))))
+
 let wilson_interval () =
   let lo, hi = E.wilson ~z:1.96 ~n:100 ~successes:50 in
   checkb "wilson brackets the estimate" true (lo < 0.5 && 0.5 < hi);
@@ -292,6 +352,11 @@ let suite =
       vulnerable_margin_restores_equality;
     Alcotest.test_case "margin validation" `Quick margin_validation;
     Alcotest.test_case "bit-identical across domains" `Slow domain_invariance;
+    Alcotest.test_case "prefetched keys bit-identical across domains" `Slow
+      prefetch_domain_invariance;
+    Alcotest.test_case "prefetch keeps the first error" `Slow
+      prefetch_error_order;
+    Alcotest.test_case "dse document golden" `Slow dse_document_golden;
     Alcotest.test_case "wilson interval" `Quick wilson_interval;
     Alcotest.test_case "characterize sampler seam" `Quick
       neutral_sampler_byte_identical;

@@ -244,6 +244,133 @@ let liberty_inverter_golden () =
     (a.Stdcell.Characterize.energy_per_cycle_j > 0.
     && a.Stdcell.Characterize.energy_per_cycle_j < 1e-12)
 
+(* --- bit-exact characterization golden --- *)
+
+(* What Dse.Engine characterizes for one (pitch, drive) key: the arcs at
+   load 2 under the sampler it prepares (400 samples, seed 42), as %h hex
+   floats — one line for the sampler stats and derate, one per arc with
+   rise, fall, average delay and energy.  Unlike the masked Liberty golden
+   above, any change in any bit of the device, transient or sampler
+   arithmetic fails here. *)
+let characterize_hex ~cell ~pitch_nm ~drive =
+  let rules = Pdk.Rules.default and tech = Device.Cnfet.default_tech in
+  let lib = Stdcell.Library.cnfet_exn ~rules ~pitch_nm ~drives:[ drive ] () in
+  let entry = Stdcell.Library.find_exn lib ~name:cell ~drive in
+  let width_lambda = entry.Stdcell.Library.width_lambda_base in
+  let sampler =
+    Device.Variation.prepare_sampler tech
+      { Device.Variation.default_spec with
+        Device.Variation.samples = 400; seed = 42 }
+      ~tubes:(Stdcell.Library.tubes_for ~pitch_nm tech ~rules ~width_lambda)
+      ~width_nm:(Pdk.Rules.nm_of_lambda rules width_lambda)
+  in
+  let s = sampler.Device.Variation.stats in
+  Printf.sprintf "sampler %h %h %h %h %h" s.Device.Variation.mean
+    s.Device.Variation.sigma s.Device.Variation.p5 s.Device.Variation.p95
+    sampler.Device.Variation.slow_derate
+  :: List.map
+       (fun (a : Stdcell.Characterize.arc) ->
+         Printf.sprintf "%s %h %h %h %h" a.Stdcell.Characterize.input
+           a.Stdcell.Characterize.rise_delay_s
+           a.Stdcell.Characterize.fall_delay_s
+           a.Stdcell.Characterize.avg_delay_s
+           a.Stdcell.Characterize.energy_per_cycle_j)
+       (Stdcell.Characterize.all_arcs_exn ~variation:sampler ~lib entry
+          ~load_inv1x:2)
+
+let characterize_hex_golden_table =
+  [
+    ( ("NAND2", 4., 1),
+      [
+        "sampler 0x1.ceafe90661d21p-14 0x1.febd2d5d253b7p-19 \
+         0x1.b4099236dcc33p-14 0x1.e67f94c300614p-14 0x1.0fa56f01b631ep+0";
+        "A 0x1.41600c653e825p-37 0x1.00bbd13a82dbep-37 0x1.210deecfe0af2p-37 \
+         0x1.eb67bcf19195fp-51";
+        "B 0x1.25b1cae506209p-37 0x1.fbdf800fbb1d9p-38 0x1.11d0c57671d7bp-37 \
+         0x1.a07b72020f3a3p-51";
+      ] );
+    ( ("NAND2", 4., 2),
+      [
+        "sampler 0x1.c6234824ae1cfp-13 0x1.6341324c2646cp-18 \
+         0x1.b446713283eb6p-13 0x1.d757ca2bbab83p-13 0x1.0a7b46d00a514p+0";
+        "A 0x1.15f756a48af65p-37 0x1.ad021d994d348p-38 0x1.ec78657131909p-38 \
+         0x1.791e10f8190dcp-50";
+        "B 0x1.e9deb5eb59907p-38 0x1.9ccb6d989073ap-38 0x1.c35511c1f502p-38 \
+         0x1.2fd83725731bp-50";
+      ] );
+    ( ("NAND2", 6., 1),
+      [
+        "sampler 0x1.c0fc8dffcf072p-14 0x1.35a0a8216e1dbp-18 \
+         0x1.a1a61ed03bad8p-14 0x1.ddf4b37d71a2ap-14 0x1.13356438e9cd7p+0";
+        "A 0x1.3709576e4807fp-37 0x1.ece2c568f78f8p-38 0x1.16bd5d1161e7ep-37 \
+         0x1.b4a4d91553549p-51";
+        "B 0x1.1e329315a09aep-37 0x1.ed98bf357e8d1p-38 0x1.0a7f79582ff0bp-37 \
+         0x1.78ff4a8d0e9e3p-51";
+      ] );
+    ( ("NAND2", 6., 2),
+      [
+        "sampler 0x1.b5a42ba405417p-13 0x1.a0690804e6738p-18 \
+         0x1.a056bf38d249bp-13 0x1.cbe4230124639p-13 0x1.0d1938b707512p+0";
+        "A 0x1.05bc9c244a8dfp-37 0x1.911a2f0c933e2p-38 0x1.ce49b3aa942dp-38 \
+         0x1.421e2947987c7p-50";
+        "B 0x1.d2b4f2b0cb247p-38 0x1.88fc8061fa014p-38 0x1.add8b9896292ep-38 \
+         0x1.0894b300a048ap-50";
+      ] );
+    ( ("AOI21", 4., 1),
+      [
+        "sampler 0x1.ceafe90661d21p-14 0x1.febd2d5d253b7p-19 \
+         0x1.b4099236dcc33p-14 0x1.e67f94c300614p-14 0x1.0fa56f01b631ep+0";
+        "A1 0x1.3fc94d2fbeb7fp-37 0x1.3a8ae85d328fap-37 0x1.3d2a1ac678a3cp-37 \
+         0x1.5d487189fb54p-50";
+        "A2 0x1.290b424329a47p-37 0x1.3b182cc6d752fp-37 0x1.3211b785007bbp-37 \
+         0x1.37bdfaf1d0c2dp-50";
+        "B 0x1.e6e3cf575369ap-38 0x1.36c74e447435cp-37 0x1.151c9af80ef54p-37 \
+         0x1.06e2b1e7ed15ap-50";
+      ] );
+    ( ("AOI21", 4., 2),
+      [
+        "sampler 0x1.c6234824ae1cfp-13 0x1.6341324c2646cp-18 \
+         0x1.b446713283eb6p-13 0x1.d757ca2bbab83p-13 0x1.0a7b46d00a514p+0";
+        "A1 0x1.191e278cd3c75p-37 0x1.1396e3d485c6ap-37 0x1.165a85b0acc7p-37 \
+         0x1.232c1f717d213p-49";
+        "A2 0x1.01316c8968e3ap-37 0x1.125cc3cb57941p-37 0x1.09c7182a603bep-37 \
+         0x1.fc51731bd2d4bp-50";
+        "B 0x1.94b20ce08bfc2p-38 0x1.087c3aeba8506p-37 0x1.d2d5415bee4e7p-38 \
+         0x1.9c3036fdec123p-50";
+      ] );
+    ( ("AOI21", 6., 1),
+      [
+        "sampler 0x1.c0fc8dffcf072p-14 0x1.35a0a8216e1dbp-18 \
+         0x1.a1a61ed03bad8p-14 0x1.ddf4b37d71a2ap-14 0x1.13356438e9cd7p+0";
+        "A1 0x1.2dc9d273189dp-37 0x1.2978c7f2e2b66p-37 0x1.2ba14d32fda9bp-37 \
+         0x1.2cc35924f374ep-50";
+        "A2 0x1.19ac87632b6c6p-37 0x1.2e36dd46527fcp-37 0x1.23f1b254bef61p-37 \
+         0x1.0ee9c965bd531p-50";
+        "B 0x1.d755be5a9d76fp-38 0x1.2cdc99a1b9dbcp-37 0x1.0c43bc67844bap-37 \
+         0x1.d06213f485c4fp-51";
+      ] );
+    ( ("AOI21", 6., 2),
+      [
+        "sampler 0x1.b5a42ba405417p-13 0x1.a0690804e6738p-18 \
+         0x1.a056bf38d249bp-13 0x1.cbe4230124639p-13 0x1.0d1938b707512p+0";
+        "A1 0x1.034f1ac68d45fp-37 0x1.fd94a6abdbdd1p-38 0x1.010cb70e3d9a4p-37 \
+         0x1.e2f709822a035p-50";
+        "A2 0x1.dc3996a3bc4d4p-38 0x1.013b8508cee44p-37 0x1.ef58505aad0aep-38 \
+         0x1.a8e7b251fd817p-50";
+        "B 0x1.7de5cecb96876p-38 0x1.f59582abff0d1p-38 0x1.b9bda8bbcaca4p-38 \
+         0x1.5d6255638db09p-50";
+      ] );
+  ]
+
+let characterize_hex_golden () =
+  List.iter
+    (fun ((cell, pitch_nm, drive), expected) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s at pitch %g nm, drive %d" cell pitch_nm drive)
+        expected
+        (characterize_hex ~cell ~pitch_nm ~drive))
+    characterize_hex_golden_table
+
 let cell_height_standardization () =
   let h = Stdcell.Library.cell_height_scheme1 cn_lib in
   checkb "tallest cell defines the row" true
@@ -276,6 +403,8 @@ let suite =
     Alcotest.test_case "sweep rejects bad inputs" `Quick
       sweep_rejects_bad_inputs;
     Alcotest.test_case "liberty inverter golden" `Slow liberty_inverter_golden;
+    Alcotest.test_case "characterize hex golden" `Slow
+      characterize_hex_golden;
     Alcotest.test_case "scheme-1 height standardization" `Quick
       cell_height_standardization;
   ]
