@@ -357,10 +357,12 @@ let cs2 () =
   if not (Sys.file_exists artifacts) then Sys.mkdir artifacts 0o755;
   let out1 = Filename.concat artifacts "full_adder_scheme1.gds" in
   let out2 = Filename.concat artifacts "full_adder_scheme2.gds" in
-  Gds.Stream.write_file out1
-    (ok (Flow.Gds_export.placement ~lib:cn_lib ~scheme:`S1 ~name:"fa_s1" p1));
-  Gds.Stream.write_file out2
-    (ok (Flow.Gds_export.placement ~lib:cn_lib ~scheme:`S2 ~name:"fa_s2" p2));
+  let write path scheme name p =
+    let bytes = ok (Flow.Gds_export.placement ~lib:cn_lib ~scheme ~name p) in
+    Out_channel.with_open_bin path (fun oc -> output_string oc bytes)
+  in
+  write out1 `S1 "fa_s1" p1;
+  write out2 `S2 "fa_s2" p2;
   (* round-trip sanity *)
   (match Gds.Stream.read_file out1 with
   | Ok lib -> Printf.printf "GDSII: wrote %s (%d structures, round-trip ok)\n"

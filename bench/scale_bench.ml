@@ -1,8 +1,8 @@
 (* Scaled physical-flow throughput: generated array multipliers at 1k and
-   10k instances through placement, placement-level DRC, die-level
-   CNT-track crossing queries, and coupling extraction — each pairwise
-   pass timed both through Geom.Index and through the all-pairs naive
-   scan it replaced, with the results asserted equal.  Die area and
+   10k instances through placement, GDS export, placement-level DRC,
+   die-level CNT-track crossing queries, and coupling extraction — each
+   pairwise pass timed both through Geom.Index and through the all-pairs
+   naive scan it replaced, with the results asserted equal.  Die area and
    utilization of scheme 1 (rows) vs scheme 2 (shelves) ride along as
    extras.  Results land in BENCH_scale.json.
 
@@ -78,6 +78,35 @@ let tracks ~die_w ~die_h count =
 
 let speedup ~naive_ms ~index_ms = naive_ms /. Float.max 1e-6 index_ms
 
+(* BOUNDARY and BGNSTR records of a GDSII stream, counted off its record
+   framing alone. *)
+let gds_census bytes =
+  let code t = Gds.Record.type_code t in
+  let rec walk pos boundaries structures =
+    if pos >= String.length bytes then (boundaries, structures)
+    else
+      let len = (Char.code bytes.[pos] lsl 8) lor Char.code bytes.[pos + 1] in
+      if len < 4 then failwith "gds_census: record shorter than its header";
+      let rtype = Char.code bytes.[pos + 2] in
+      if rtype = code Gds.Record.Boundary then
+        walk (pos + len) (boundaries + 1) structures
+      else if rtype = code Gds.Record.Bgnstr then
+        walk (pos + len) boundaries (structures + 1)
+      else walk (pos + len) boundaries structures
+  in
+  walk 0 0 0
+
+(* GDS export of a placed die.  The pass takes milliseconds at 1k
+   instances, so the row keeps the best of three runs. *)
+let gds_export ~lib ~scheme ~name p =
+  let runs =
+    List.init 3 (fun _ ->
+        time (fun () -> ok (Flow.Gds_export.placement ~lib ~scheme ~name p)))
+  in
+  List.fold_left
+    (fun (b, t) (b', t') -> if t' < t then (b', t') else (b, t))
+    (List.hd runs) (List.tl runs)
+
 let bench_size ~lib target =
   let n = multiplier_for target in
   let cells = List.length n.Flow.Netlist_ir.instances in
@@ -138,6 +167,32 @@ let bench_size ~lib target =
     t_cpl_idx t_cpl_nav
     (speedup ~naive_ms:t_cpl_nav ~index_ms:t_cpl_idx)
     (List.length c_idx);
+
+  (* GDS export, both schemes; timed last, so that the passes above run
+     in the heap state they ran in before the export rows existed *)
+  let design = n.Flow.Netlist_ir.design in
+  let g1, t_gds1 = gds_export ~lib ~scheme:`S1 ~name:design p1 in
+  let g2, t_gds2 = gds_export ~lib ~scheme:`S2 ~name:design p2 in
+  let mb_per_s bytes ms =
+    float_of_int (String.length bytes) /. 1e6 /. Float.max 1e-9 (ms /. 1000.)
+  in
+  let gds_entry scheme bytes ms =
+    let boundaries, structures = gds_census bytes in
+    Bench_json.entry
+      ~name:(slug ^ ".gds_export." ^ scheme) ~wall_ms:ms
+      ~throughput:(mb_per_s bytes ms)
+      ~extras:
+        [
+          ("bytes", float_of_int (String.length bytes));
+          ("boundaries", float_of_int boundaries);
+          ("structures", float_of_int structures);
+        ]
+      ()
+  in
+  Printf.printf
+    "  gds export: s1 %.1f ms (%.0f MB/s), s2 %.1f ms (%.0f MB/s), %d bytes\n"
+    t_gds1 (mb_per_s g1 t_gds1) t_gds2 (mb_per_s g2 t_gds2)
+    (String.length g1);
 
   [
     Bench_json.entry
@@ -206,6 +261,8 @@ let bench_size ~lib target =
       ~name:(slug ^ ".couplings.naive") ~wall_ms:t_cpl_nav
       ~throughput:(fcells /. Float.max 1e-9 (t_cpl_nav /. 1000.))
       ~extras:[ ("cells", fcells) ] ();
+    gds_entry "s1" g1 t_gds1;
+    gds_entry "s2" g2 t_gds2;
   ]
 
 let run () =

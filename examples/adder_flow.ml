@@ -58,8 +58,9 @@ let () =
   print_endline "\nwrote cnfet_cells.lib (simulator-characterized timing)";
 
   (* 5. GDSII stream out *)
-  Gds.Stream.write_file "full_adder_s2.gds"
-    (ok (Flow.Gds_export.placement ~lib:cn ~scheme:`S2 ~name:"fa" p2));
+  Out_channel.with_open_bin "full_adder_s2.gds" (fun oc ->
+      output_string oc
+        (ok (Flow.Gds_export.placement ~lib:cn ~scheme:`S2 ~name:"fa" p2)));
   (match Gds.Stream.read_file "full_adder_s2.gds" with
   | Ok g ->
     Printf.printf "wrote full_adder_s2.gds: %d structures, %d boundaries in top\n"

@@ -34,8 +34,7 @@ type result_t = {
   netlist : Netlist_ir.t;
   placement : Placer.t;
   cells : Layout.Cell.t list;  (** unique layouts referenced by the design *)
-  gds : Gds.Stream.library;
-  gds_bytes : string;  (** serialized GDSII stream *)
+  gds_bytes : string;  (** the GDSII stream {!Gds_export.placement} wrote *)
 }
 
 val pass_names : string list

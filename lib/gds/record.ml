@@ -79,6 +79,8 @@ let decode_real8 bits =
     if sign = 1L then -.v else v
   end
 
+let max_length = 0xFFFE
+
 let payload_bytes = function
   | No_data -> 0
   | I16 xs -> 2 * List.length xs
@@ -102,6 +104,12 @@ let add_i64 buf v =
 
 let encode buf t =
   let len = 4 + payload_bytes t.payload in
+  if len > max_length then
+    invalid_arg
+      (Printf.sprintf
+         "Gds.Record.encode: a record of %d bytes exceeds the %d-byte limit \
+          of its 16-bit length field"
+         len max_length);
   add_i16 buf len;
   Buffer.add_char buf (Char.chr (type_code t.rtype));
   Buffer.add_char buf (Char.chr (data_code t.payload));

@@ -21,7 +21,16 @@ type payload =
 
 type t = { rtype : record_type; payload : payload }
 
+val max_length : int
+(** 65534: the longest record a 16-bit length field frames (records are
+    even). *)
+
 val encode : Buffer.t -> t -> unit
+(** Appends one record.  Raises [Invalid_argument] when the record is
+    longer than {!max_length}.  {!Writer} writes the same bytes without
+    building records; this encoder is the reference it is tested
+    against. *)
+
 val decode : string -> pos:int -> (t * int, string) result
 (** [decode bytes ~pos] reads one record, returning it and the next
     position. *)

@@ -26,6 +26,8 @@ let element_of_rect ~layer (r : Geom.Rect.t) =
       ];
   }
 
+let user_unit_m rules = rules.Pdk.Rules.lambda_nm *. 1e-9
+
 let library ~rules ~name cells =
   let structures =
     List.map
@@ -43,37 +45,41 @@ let library ~rules ~name cells =
   in
   {
     libname = name;
-    user_unit_m = rules.Pdk.Rules.lambda_nm *. 1e-9;
+    user_unit_m = user_unit_m rules;
     structures;
   }
 
-let timestamp = [ 2009; 3; 16; 0; 0; 0 ]
-
 let to_bytes lib =
-  let buf = Buffer.create 4096 in
-  let put rtype payload = Record.encode buf { Record.rtype; payload } in
-  put Record.Header (Record.I16 [ 600 ]);
-  put Record.Bgnlib (Record.I16 (timestamp @ timestamp));
-  put Record.Libname (Record.Ascii lib.libname);
-  (* UNITS: user units per db unit (1.0), metres per db unit *)
-  put Record.Units (Record.Real8 [ 1.0; lib.user_unit_m ]);
-  List.iter
-    (fun s ->
-      put Record.Bgnstr (Record.I16 (timestamp @ timestamp));
-      put Record.Strname (Record.Ascii s.sname);
-      List.iter
-        (fun e ->
-          put Record.Boundary Record.No_data;
-          put Record.Layer (Record.I16 [ e.layer ]);
-          put Record.Datatype (Record.I16 [ e.datatype ]);
-          put Record.Xy
-            (Record.I32 (List.concat_map (fun (x, y) -> [ x; y ]) e.xy));
-          put Record.Endel Record.No_data)
-        s.elements;
-      put Record.Endstr Record.No_data)
-    lib.structures;
-  put Record.Endlib Record.No_data;
-  Buffer.contents buf
+  let structure_length s =
+    List.fold_left
+      (fun n e -> n + Writer.boundary_length ~points:(List.length e.xy))
+      (Writer.structure_length s.sname)
+      s.elements
+  in
+  let w =
+    Writer.create
+      (List.fold_left
+         (fun n s -> n + structure_length s)
+         (Writer.header_length ~libname:lib.libname + Writer.endlib_length)
+         lib.structures)
+  in
+  let pos =
+    Writer.header w 0 ~libname:lib.libname ~user_unit_m:lib.user_unit_m
+  in
+  let pos =
+    List.fold_left
+      (fun pos s ->
+        let pos = Writer.begin_structure w pos s.sname in
+        let pos =
+          List.fold_left
+            (fun pos e ->
+              Writer.boundary w pos ~layer:e.layer ~datatype:e.datatype e.xy)
+            pos s.elements
+        in
+        Writer.end_structure w pos)
+      pos lib.structures
+  in
+  Writer.finish w pos
 
 type parse_state = {
   mutable libname : string;

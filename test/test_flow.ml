@@ -356,13 +356,187 @@ let placer_unknown_drive_diag () =
 let gds_export_placement () =
   let fa = Flow.Full_adder.netlist () in
   let p = ok (Flow.Placer.shelves ~lib fa) in
-  let g = ok (Flow.Gds_export.placement ~lib ~scheme:`S2 ~name:"fa" p) in
+  let bytes = ok (Flow.Gds_export.placement ~lib ~scheme:`S2 ~name:"fa" p) in
   (* top + unique cells: INV_{4,7,9}X + NAND2_2X = 5 structures *)
-  check_int "structures" 5 (List.length g.Gds.Stream.structures);
-  match Gds.Stream.of_bytes (Gds.Stream.to_bytes g) with
+  match Gds.Stream.of_bytes bytes with
   | Ok back ->
     check_int "round trip structures" 5 (List.length back.Gds.Stream.structures)
   | Error e -> Alcotest.fail e
+
+(* GDS bytes of the flow pinned at the commit before the streaming
+   writer: an exporter that reorders a single element fails here, where a
+   round trip or a structure count would pass.  Libraries are built as
+   the CLI builds them, over the drives the design uses. *)
+let gds_goldens () =
+  let goldens =
+    [
+      ("full_adder", `S1, "767a392b564acf7377fd9d77048875e3", 19386, 5);
+      ("full_adder", `S2, "0728b431002ee0d26ae49fd18623faaa", 19386, 5);
+      ("ripple8", `S1, "7b7458088c584db0fc1c22f640f2aa6f", 125110, 5);
+      ("ripple8", `S2, "e82f3d0f9b02815ff0d2c73c1ab0d27e", 125110, 5);
+      ("lfsr16x40", `S1, "f4e96acddd2b01844a33be3ef54e3b5a", 419096, 3);
+      ("lfsr16x40", `S2, "93d120c0022e4584ef93f9820e5cdfb5", 419096, 3);
+      ("mult11", `S1, "dc49038ef3dc783d30d331bfb4597472", 1563568, 5);
+      ("mult11", `S2, "c12cead0dae74262a781b4283e7a96e7", 1563568, 5);
+    ]
+  in
+  List.iter
+    (fun (design, scheme, digest, bytes, structures) ->
+      let label =
+        Printf.sprintf "%s %s" design
+          (match scheme with `S1 -> "S1" | `S2 -> "S2")
+      in
+      let n = ok (Flow.Generate.of_spec design) in
+      let drives =
+        List.sort_uniq compare
+          (List.map
+             (fun (i : Flow.Netlist_ir.instance) -> i.Flow.Netlist_ir.drive)
+             n.Flow.Netlist_ir.instances)
+      in
+      let lib = Stdcell.Library.cnfet_exn ~drives () in
+      let result, report =
+        Flow.Pipeline.run (Flow.Pipeline.spec_of_netlist ~scheme ~lib n)
+      in
+      let r = ok result in
+      Alcotest.(check string) (label ^ " digest") digest
+        (Digest.to_hex (Digest.string r.Flow.Pipeline.gds_bytes));
+      check_int (label ^ " length") bytes
+        (String.length r.Flow.Pipeline.gds_bytes);
+      let export =
+        List.find
+          (fun (e : Core.Pass.pass_report) -> e.Core.Pass.pass_name = "export")
+          report.Core.Pass.passes
+      in
+      Alcotest.(check (list (pair string int)))
+        (label ^ " export counters")
+        [ ("structures", structures); ("gds_bytes", bytes) ]
+        export.Core.Pass.counters)
+    goldens
+
+(* The order contract of Gds_export, from an oracle that knows nothing of
+   the writer: the top structure holds every instance's translated cell
+   rectangles grouped by layer, layers by last occurrence (most recent
+   first), each layer in placement order; then one structure per cell in
+   first-reference order, holding the cell's rectangles layer by layer. *)
+let expected_structures ~lib ~scheme ~name (p : Flow.Placer.t) =
+  let layout (pc : Flow.Placer.placed_cell) =
+    let e = ok (Flow.Placer.entry_for lib pc.Flow.Placer.inst) in
+    match scheme with
+    | `S1 -> e.Stdcell.Library.scheme1
+    | `S2 -> e.Stdcell.Library.scheme2
+  in
+  let elements ~dx ~dy layers =
+    List.concat_map
+      (fun (layer, region) ->
+        List.map
+          (fun r ->
+            Gds.Stream.element_of_rect
+              ~layer:(Pdk.Layer.gds_number layer)
+              (Geom.Rect.translate ~dx ~dy r))
+          (Geom.Region.rects region))
+      layers
+  in
+  let flat =
+    List.concat_map
+      (fun (pc : Flow.Placer.placed_cell) ->
+        List.map
+          (fun entry -> (fst entry, [ entry ], pc))
+          (Layout.Cell.layers (layout pc)))
+      p.Flow.Placer.cells
+  in
+  let by_last_occurrence =
+    List.fold_left
+      (fun acc (layer, _, _) -> layer :: List.filter (( <> ) layer) acc)
+      [] flat
+  in
+  let top =
+    List.concat_map
+      (fun layer ->
+        List.concat_map
+          (fun (l, entry, (pc : Flow.Placer.placed_cell)) ->
+            if l = layer then
+              elements ~dx:pc.Flow.Placer.x ~dy:pc.Flow.Placer.y entry
+            else [])
+          flat)
+      by_last_occurrence
+  in
+  let cells =
+    List.fold_left
+      (fun acc pc ->
+        let l = layout pc in
+        if List.mem_assoc l.Layout.Cell.name acc then acc
+        else (l.Layout.Cell.name, l) :: acc)
+      [] p.Flow.Placer.cells
+    |> List.rev
+  in
+  { Gds.Stream.sname = name ^ "_top"; elements = top }
+  :: List.map
+       (fun (sname, l) ->
+         {
+           Gds.Stream.sname;
+           elements = elements ~dx:0 ~dy:0 (Layout.Cell.layers l);
+         })
+       cells
+
+let gds_export_order =
+  QCheck.Test.make ~name:"gds export order contract" ~count:25
+    QCheck.(
+      make
+        ~print:(fun (g, i, s, s2) ->
+          Printf.sprintf "rand%ds%d inputs=%d %s" g s i
+            (if s2 then "S2" else "S1"))
+        Gen.(
+          quad (int_range 4 60) (int_range 3 6) (int_range 0 1000) bool))
+    (fun (gates, inputs, seed, s2) ->
+      let n = ok (Flow.Generate.random_logic ~gates ~inputs ~seed) in
+      let scheme = if s2 then `S2 else `S1 in
+      let p =
+        ok
+          (if s2 then Flow.Placer.shelves ~lib n else Flow.Placer.rows ~lib n)
+      in
+      let bytes = ok (Flow.Gds_export.placement ~lib ~scheme ~name:"r" p) in
+      match Gds.Stream.of_bytes bytes with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok g ->
+        g.Gds.Stream.libname = "r"
+        && g.Gds.Stream.structures
+           = expected_structures ~lib ~scheme ~name:"r" p)
+
+(* A name rides in a LIBNAME or STRNAME record, whose length is a 16-bit
+   field: the top structure's "<design>_top" pads to the 65534-byte limit
+   at a 65526-character design name. *)
+let gds_long_design_name () =
+  let run chars =
+    let n =
+      { (simple_netlist ()) with
+        Flow.Netlist_ir.design = String.make chars 'd' }
+    in
+    fst (Flow.Pipeline.run (Flow.Pipeline.spec_of_netlist ~scheme:`S1 ~lib n))
+  in
+  (match run 65526 with
+  | Error d -> Alcotest.fail (Core.Diag.to_string d)
+  | Ok r -> (
+    match Gds.Stream.of_bytes r.Flow.Pipeline.gds_bytes with
+    | Error e -> Alcotest.fail e
+    | Ok g ->
+      check_int "libname" 65526 (String.length g.Gds.Stream.libname);
+      match g.Gds.Stream.structures with
+      | [ top; _ ] ->
+        checkb "top structure name" true
+          (top.Gds.Stream.sname = String.make 65526 'd' ^ "_top")
+      | _ -> Alcotest.fail "expected the top structure and one cell"));
+  match run 65527 with
+  | Ok _ -> Alcotest.fail "a 65536-byte STRNAME record was written"
+  | Error d ->
+    Alcotest.(check string) "stage" "gds_export" d.Core.Diag.stage;
+    Alcotest.(check (option string)) "record" (Some "STRNAME")
+      (List.assoc_opt "record" d.Core.Diag.context);
+    Alcotest.(check (option string)) "length" (Some "65536")
+      (List.assoc_opt "length" d.Core.Diag.context);
+    checkb "names the top structure" true
+      (match List.assoc_opt "structure" d.Core.Diag.context with
+      | Some s -> String.length s < 100 && String.sub s 0 4 = "dddd"
+      | None -> false)
 
 let suite =
   [
@@ -386,6 +560,9 @@ let suite =
     Alcotest.test_case "scheme area gains" `Quick placer_scheme_gains;
     Alcotest.test_case "wirelength positive" `Quick wirelength_positive;
     Alcotest.test_case "gds export placement" `Quick gds_export_placement;
+    Alcotest.test_case "gds goldens" `Quick gds_goldens;
+    Alcotest.test_case "gds long design name" `Quick gds_long_design_name;
+    QCheck_alcotest.to_alcotest gds_export_order;
     Alcotest.test_case "generate: multiplier correct" `Quick
       generate_multiplier_correct;
     Alcotest.test_case "generate: multiplier scales" `Quick

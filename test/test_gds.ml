@@ -215,6 +215,147 @@ let stream_cell_export () =
          s.Gds.Stream.elements)
   | Error e -> Alcotest.fail e
 
+(* The NAND3 cell's stream pinned at the commit before the streaming
+   writer. *)
+let cell_export_golden () =
+  let cell =
+    Layout.Cell.make_exn ~rules:Pdk.Rules.default ~fn:(Logic.Cell_fun.nand 3)
+      ~style:Layout.Cell.Immune_new ~scheme:Layout.Cell.Scheme1 ~drive:4
+  in
+  let bytes =
+    Cnfet.Synthesis.gds_of_cells ~rules:Pdk.Rules.default ~name:"lib"
+      [ cell ]
+  in
+  check_int "length" 1778 (String.length bytes);
+  Alcotest.(check string) "digest" "ada0f6adc7791851959502efd80fc73e"
+    (Digest.to_hex (Digest.string bytes))
+
+(* The stream as Record.encode frames it, one record at a time: the
+   reference the exact-size writer must match byte for byte. *)
+let reference_bytes (lib : Gds.Stream.library) =
+  let buf = Buffer.create 1024 in
+  let put rtype payload = Gds.Record.encode buf { Gds.Record.rtype; payload } in
+  let stamp = Gds.Record.I16 [ 2009; 3; 16; 0; 0; 0; 2009; 3; 16; 0; 0; 0 ] in
+  put Gds.Record.Header (Gds.Record.I16 [ 600 ]);
+  put Gds.Record.Bgnlib stamp;
+  put Gds.Record.Libname (Gds.Record.Ascii lib.Gds.Stream.libname);
+  put Gds.Record.Units (Gds.Record.Real8 [ 1.0; lib.Gds.Stream.user_unit_m ]);
+  List.iter
+    (fun (s : Gds.Stream.structure) ->
+      put Gds.Record.Bgnstr stamp;
+      put Gds.Record.Strname (Gds.Record.Ascii s.Gds.Stream.sname);
+      List.iter
+        (fun (e : Gds.Stream.element) ->
+          put Gds.Record.Boundary Gds.Record.No_data;
+          put Gds.Record.Layer (Gds.Record.I16 [ e.Gds.Stream.layer ]);
+          put Gds.Record.Datatype (Gds.Record.I16 [ e.Gds.Stream.datatype ]);
+          put Gds.Record.Xy
+            (Gds.Record.I32
+               (List.concat_map (fun (x, y) -> [ x; y ]) e.Gds.Stream.xy));
+          put Gds.Record.Endel Gds.Record.No_data)
+        s.Gds.Stream.elements;
+      put Gds.Record.Endstr Gds.Record.No_data)
+    lib.Gds.Stream.structures;
+  put Gds.Record.Endlib Gds.Record.No_data;
+  Buffer.contents buf
+
+(* Random libraries: 1-4 structures, names of odd and even length, layers
+   and datatypes past the 16-bit range (both encoders keep the low 16
+   bits), rectangles with negative coordinates and free polygons. *)
+let library_arb =
+  let open QCheck.Gen in
+  let name =
+    string_size ~gen:(map Char.chr (int_range 65 90)) (int_range 1 9)
+  in
+  let coord = int_range (-100_000) 100_000 in
+  let element =
+    let* layer = int_range (-10) 70_000 in
+    let* datatype = int_range 0 3 in
+    oneof
+      [
+        (let* x = coord and* y = coord and* w = int_range 1 500
+         and* h = int_range 1 500 in
+         return
+           { (Gds.Stream.element_of_rect ~layer (Geom.Rect.of_size ~x ~y ~w ~h))
+             with Gds.Stream.datatype });
+        map
+          (fun xy -> { Gds.Stream.layer; datatype; xy })
+          (list_size (int_range 0 7) (pair coord coord));
+      ]
+  in
+  let structure =
+    map2
+      (fun sname elements -> { Gds.Stream.sname; elements })
+      name
+      (list_size (int_range 0 12) element)
+  in
+  let library =
+    let* libname = name and* structures = list_size (int_range 1 4) structure
+    and* lambda = float_range 1. 100. in
+    return
+      { Gds.Stream.libname; user_unit_m = lambda *. 1e-9; structures }
+  in
+  QCheck.make
+    ~print:(fun (l : Gds.Stream.library) ->
+      Printf.sprintf "%s: %s" l.Gds.Stream.libname
+        (String.concat ", "
+           (List.map
+              (fun (s : Gds.Stream.structure) ->
+                Printf.sprintf "%s(%d)" s.Gds.Stream.sname
+                  (List.length s.Gds.Stream.elements))
+              l.Gds.Stream.structures)))
+    library
+
+let writer_matches_reference =
+  QCheck.Test.make ~name:"writer equals the record reference" ~count:300
+    library_arb (fun lib ->
+      String.equal (Gds.Stream.to_bytes lib) (reference_bytes lib))
+
+(* A record length is a 16-bit field: the writer and the reference encoder
+   refuse a record that does not fit instead of wrapping its length. *)
+let record_length_limit () =
+  let raises f =
+    match f () with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  let lib sname xy =
+    {
+      Gds.Stream.libname = "limit";
+      user_unit_m = 1e-9;
+      structures =
+        [
+          {
+            Gds.Stream.sname;
+            elements = [ { Gds.Stream.layer = 1; datatype = 0; xy } ];
+          };
+        ];
+    }
+  in
+  let longest = String.make 65530 'n' in
+  (match Gds.Stream.of_bytes (Gds.Stream.to_bytes (lib longest [])) with
+  | Ok back ->
+    checkb "longest name round-trips" true
+      (List.map (fun (s : Gds.Stream.structure) -> s.Gds.Stream.sname)
+         back.Gds.Stream.structures
+      = [ longest ])
+  | Error e -> Alcotest.fail e);
+  checkb "one more character raises" true
+    (raises (fun () -> Gds.Stream.to_bytes (lib (longest ^ "n") [])));
+  let points n = List.init n (fun i -> (i, -i)) in
+  checkb "8191 points fit" true
+    (String.length (Gds.Stream.to_bytes (lib "p" (points 8191))) > 65532);
+  checkb "8192 points raise" true
+    (raises (fun () -> Gds.Stream.to_bytes (lib "p" (points 8192))));
+  let encode payload () =
+    Gds.Record.encode (Buffer.create 16)
+      { Gds.Record.rtype = Gds.Record.Libname; payload }
+  in
+  checkb "reference encodes the longest" false
+    (raises (encode (Gds.Record.Ascii longest)));
+  checkb "reference raises past it" true
+    (raises (encode (Gds.Record.Ascii (longest ^ "n"))))
+
 let file_roundtrip () =
   let tmp = Filename.temp_file "cnfet" ".gds" in
   let lib =
@@ -243,8 +384,11 @@ let suite =
     Alcotest.test_case "decode errors" `Quick decode_errors;
     Alcotest.test_case "stream units" `Quick stream_units;
     Alcotest.test_case "cell export" `Quick stream_cell_export;
+    Alcotest.test_case "cell export golden" `Quick cell_export_golden;
+    Alcotest.test_case "record length limit" `Quick record_length_limit;
     Alcotest.test_case "file round-trip" `Quick file_roundtrip;
     QCheck_alcotest.to_alcotest real8_roundtrip;
     QCheck_alcotest.to_alcotest record_roundtrip_random;
     QCheck_alcotest.to_alcotest stream_roundtrip_random;
+    QCheck_alcotest.to_alcotest writer_matches_reference;
   ]

@@ -28,8 +28,7 @@ let logic_to_gdsii () =
     (List.length netlist.Flow.Netlist_ir.instances)
     (List.length p2.Flow.Placer.cells);
   let bytes =
-    Gds.Stream.to_bytes
-      (ok (Flow.Gds_export.placement ~lib ~scheme:`S1 ~name:"duo" p1))
+    ok (Flow.Gds_export.placement ~lib ~scheme:`S1 ~name:"duo" p1)
   in
   match Gds.Stream.of_bytes bytes with
   | Ok g -> checkb "gds parses back" true (List.length g.Gds.Stream.structures >= 2)
