@@ -18,7 +18,15 @@ let validate config =
     invalid_arg
       (Printf.sprintf
          "Fault.Injector.run: tracks_per_trial must be non-negative (got %d)"
-         config.tracks_per_trial)
+         config.tracks_per_trial);
+  (* a non-finite angle makes every track NaN, and NaN tracks cross
+     nothing: a vulnerable cell would read as immune *)
+  if not (config.max_angle_deg >= 0. && config.max_angle_deg <= 90.) then
+    invalid_arg
+      (Printf.sprintf
+         "Fault.Injector.run: max_angle_deg must be a finite angle in [0, \
+          90] (got %g)"
+         config.max_angle_deg)
 
 type outcome = {
   trials : int;

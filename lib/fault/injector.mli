@@ -26,9 +26,11 @@ type config = {
 val default_config : config
 
 val validate : config -> unit
-(** @raise Invalid_argument when [trials <= 0] or [tracks_per_trial < 0],
-    naming the offending field — a campaign that would silently loop zero
-    times is a configuration bug, not an immunity proof. *)
+(** @raise Invalid_argument when [trials <= 0], [tracks_per_trial < 0] or
+    [max_angle_deg] is not a finite angle in [0, 90], naming the
+    offending field — a campaign that would silently loop zero times, or
+    spray NaN tracks that cross nothing, is a configuration bug, not an
+    immunity proof. *)
 
 type outcome = {
   trials : int;

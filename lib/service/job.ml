@@ -190,6 +190,14 @@ let dse_config (j : dse_job) =
     adaptive = j.dse_adaptive;
   }
 
+(* the injector's range: a NaN or infinite angle sprays NaN tracks *)
+let angle_ok kind a =
+  if a >= 0. && a <= 90. then Ok ()
+  else
+    Core.Diag.failf ~stage
+      ~context:[ ("max_angle_deg", string_of_float a) ]
+      "%s job: max_angle_deg must be a finite angle in [0, 90]" kind
+
 let validate = function
   | Flow j ->
     if j.aspect <= 0. || not (Float.is_finite j.aspect) then
@@ -224,7 +232,7 @@ let validate = function
       Core.Diag.failf ~stage
         ~context:[ ("tracks_per_trial", string_of_int j.tracks_per_trial) ]
         "fault job: tracks_per_trial must be non-negative"
-    else Ok ()
+    else angle_ok "fault" j.max_angle_deg
   | Characterize j ->
     if Logic.Cell_fun.find_opt j.char_cell = None then
       Core.Diag.failf ~stage
@@ -275,7 +283,7 @@ let validate = function
       Core.Diag.failf ~stage
         ~context:[ ("max_extra_tubes", string_of_int j.tg_max_extra_tubes) ]
         "testgen job: max_extra_tubes must be non-negative"
-    else Ok ()
+    else angle_ok "testgen" j.tg_max_angle_deg
   | Dse j ->
     if Logic.Cell_fun.find_opt j.dse_cell = None then
       Core.Diag.failf ~stage

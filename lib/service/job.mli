@@ -133,8 +133,9 @@ val describe : t -> string
 
 val validate : t -> (unit, Core.Diag.t) result
 (** Admission-control check: field domains a queued job would only
-    discover at run time (non-positive trials, empty load sweep, unknown
-    layout style never happens — it is typed — but unknown cells do).
+    discover at run time (non-positive trials, a misposition angle that is
+    not a finite value in [0, 90], empty load sweep, unknown layout style
+    never happens — it is typed — but unknown cells do).
     Rejected submissions never enter the queue. *)
 
 val digest : t -> string

@@ -285,6 +285,68 @@ let injector_rejects_bad_config () =
   check_int "zero tracks, zero strays" 0 o.Fault.Injector.stray_edges;
   check_int "zero tracks, zero failures" 0 o.Fault.Injector.functional_failures
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* A non-finite angle used to spray NaN tracks that cross nothing, so a
+   vulnerable cell read as immune; the angle must lie in [0, 90]. *)
+let injector_rejects_bad_angle () =
+  let cell = mk Layout.Cell.Vulnerable "NAND2" in
+  let cfg a =
+    { Fault.Injector.default_config with
+      Fault.Injector.trials = 50; max_angle_deg = a }
+  in
+  List.iter
+    (fun a ->
+      match Fault.Injector.run (cfg a) cell with
+      | exception Invalid_argument m ->
+        checkb (Printf.sprintf "%g: message names the field" a) true
+          (contains m "max_angle_deg")
+      | _ -> Alcotest.failf "max_angle_deg %g accepted" a)
+    [ nan; infinity; neg_infinity; -5.; 90.5 ];
+  List.iter
+    (fun a ->
+      check_int (Printf.sprintf "%g runs" a) 50
+        (Fault.Injector.run (cfg a) cell).Fault.Injector.trials)
+    [ 0.; 90. ]
+
+(* The CLI's exit status for the same angles: 2, as for [--trials 0].
+   The test binary runs in _build/default/test, and the CLI is a declared
+   dune dep. *)
+let cli_rejects_bad_angle () =
+  let run args =
+    let err = Filename.temp_file "cnfet_dk" ".err" in
+    let status =
+      Sys.command
+        (Filename.quote_command "../bin/cnfet_dk.exe" args ~stdout:"/dev/null"
+           ~stderr:err)
+    in
+    let msg = In_channel.with_open_bin err In_channel.input_all in
+    Sys.remove err;
+    (status, msg)
+  in
+  let fault angle =
+    [ "fault"; "NAND2"; "--style"; "vulnerable"; "--trials"; "40";
+      "--angle=" ^ angle ]
+  in
+  List.iter
+    (fun args ->
+      let status, msg = run args in
+      check_int (String.concat " " args) 2 status;
+      checkb "names max_angle_deg" true
+        (contains msg "max_angle_deg"))
+    (List.map fault [ "nan"; "inf"; "-inf"; "1e999"; "-5"; "90.5" ]
+    @ [ [ "test-gen"; "--cell"; "AOI21"; "--trials"; "40"; "--angle"; "nan" ] ]);
+  List.iter
+    (fun angle ->
+      let status, _ = run (fault angle) in
+      checkb ("--angle=" ^ angle ^ " runs") true (status = 0 || status = 1))
+    [ "0"; "90" ]
+
 let injector_deterministic () =
   let cell = mk Layout.Cell.Vulnerable "NAND2" in
   let cfg = { Fault.Injector.default_config with Fault.Injector.trials = 100 } in
@@ -341,6 +403,10 @@ let suite =
       injector_domains_deterministic;
     Alcotest.test_case "injector rejects bad config" `Quick
       injector_rejects_bad_config;
+    Alcotest.test_case "injector rejects out-of-range angles" `Quick
+      injector_rejects_bad_angle;
+    Alcotest.test_case "cli rejects out-of-range angles" `Quick
+      cli_rejects_bad_angle;
     QCheck_alcotest.to_alcotest hits_sorted_and_in_bbox;
     QCheck_alcotest.to_alcotest hits_prepared_agrees;
     QCheck_alcotest.to_alcotest hits_match_naive_scan;

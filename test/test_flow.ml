@@ -538,6 +538,121 @@ let gds_long_design_name () =
       | Some s -> String.length s < 100 && String.sub s 0 4 = "dddd"
       | None -> false)
 
+(* Signoff results at 10^4-rectangle scale, pinned at the commit before
+   the flat-grid Geom.Index: die-level crossing queries over every
+   translated fabric rectangle of mult11 (as the scale bench builds
+   them), placement-level DRC and coupling extraction.  Floats print in
+   %h, so a result that moves by one ulp or one position fails here. *)
+let signoff_goldens () =
+  let goldens =
+    [
+      ( `S1, 10967, "10a97b13eb850d24ee794db805a192cd",
+        "4bb1f791f20b855361590b3674b7b463", 1855,
+        "b3210d16861ae6d5447cd6d78c5a9588" );
+      ( `S2, 10967, "1b1d1b9cea9597e5b259186097f4c705",
+        "077e6952797a2e546c9f465b9f6eec6a", 2247,
+        "a43565f30a7e2dbdf48834432115bb1a" );
+    ]
+  in
+  let element = function
+    | Layout.Fabric.Contact Logic.Switch_graph.Vdd -> "vdd"
+    | Layout.Fabric.Contact Logic.Switch_graph.Gnd -> "gnd"
+    | Layout.Fabric.Contact Logic.Switch_graph.Out -> "out"
+    | Layout.Fabric.Contact (Logic.Switch_graph.Internal k) ->
+      Printf.sprintf "n%d" k
+    | Layout.Fabric.Gate g -> "g" ^ g
+    | Layout.Fabric.Etch -> "etch"
+  in
+  let digest f xs =
+    let b = Buffer.create 4096 in
+    List.iter (fun x -> Buffer.add_string b (f x); Buffer.add_char b '\n') xs;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  let n = ok (Flow.Generate.of_spec "mult11") in
+  let lib = Stdcell.Library.cnfet_exn ~drives:[ 1 ] () in
+  List.iter
+    (fun (scheme, nrects, hits_digest, drc_digest, npairs, pairs_digest) ->
+      let label = match scheme with `S1 -> "S1" | `S2 -> "S2" in
+      let r =
+        ok (fst (Flow.Pipeline.run (Flow.Pipeline.spec_of_netlist ~scheme ~lib n)))
+      in
+      let p = r.Flow.Pipeline.placement in
+      let items =
+        List.concat_map
+          (fun (pc : Flow.Placer.placed_cell) ->
+            let e = ok (Flow.Placer.entry_for lib pc.Flow.Placer.inst) in
+            let cell =
+              match scheme with
+              | `S1 -> e.Stdcell.Library.scheme1
+              | `S2 -> e.Stdcell.Library.scheme2
+            in
+            List.map
+              (fun (pl : Layout.Fabric.placed) ->
+                ( Geom.Rect.translate ~dx:pc.Flow.Placer.x ~dy:pc.Flow.Placer.y
+                    pl.Layout.Fabric.rect,
+                  pl.Layout.Fabric.elem ))
+              (cell.Layout.Cell.pun.Layout.Fabric.items
+              @ cell.Layout.Cell.pdn.Layout.Fabric.items))
+          p.Flow.Placer.cells
+      in
+      check_int (label ^ " fabric rects") nrects (List.length items);
+      let index = Geom.Index.build items in
+      (* even tracks have integer endpoints, which land on box edges *)
+      let rng = Random.State.make [| 0x51f; nrects |] in
+      let coord i bound =
+        if i mod 2 = 0 then float_of_int (Random.State.int rng bound)
+        else Random.State.float rng (float_of_int bound)
+      in
+      let tracks =
+        List.init 50 (fun i ->
+            let w = p.Flow.Placer.die_width and h = p.Flow.Placer.die_height in
+            let x0 = coord i w in
+            let y0 = coord i h in
+            let x1 = coord i w in
+            let y1 = coord i h in
+            Geom.Segment.make (Geom.Vec.v x0 y0) (Geom.Vec.v x1 y1))
+      in
+      let hits =
+        List.mapi
+          (fun i s ->
+            String.concat " "
+              (string_of_int i
+              :: List.map
+                   (fun (t0, t1, e) -> Printf.sprintf "%h,%h,%s" t0 t1 (element e))
+                   (Geom.Index.query_segment index s)))
+          tracks
+      in
+      Alcotest.(check string) (label ^ " crossing hits") hits_digest
+        (digest Fun.id hits);
+      let outlines =
+        List.map
+          (fun (pc : Flow.Placer.placed_cell) ->
+            ( pc.Flow.Placer.inst.Flow.Netlist_ir.inst_name,
+              Geom.Rect.of_size ~x:pc.Flow.Placer.x ~y:pc.Flow.Placer.y
+                ~w:pc.Flow.Placer.cell_width ~h:pc.Flow.Placer.cell_height ))
+          p.Flow.Placer.cells
+      in
+      (* the placement is legal; inflated outlines overlap their
+         neighbours and give the DRC query something to report *)
+      let inflated = List.map (fun (n, r) -> (n, Geom.Rect.inflate 1 r)) outlines in
+      let violation (v : Layout.Drc.violation) =
+        Printf.sprintf "%s|%s|%s" v.Layout.Drc.rule v.Layout.Drc.detail
+          (Geom.Rect.to_string v.Layout.Drc.where)
+      in
+      check_int (label ^ " outline DRC") 0
+        (List.length (Layout.Drc.check_outlines outlines));
+      Alcotest.(check string) (label ^ " inflated outline DRC") drc_digest
+        (digest violation (Layout.Drc.check_outlines inflated));
+      let pairs = Extract.Extractor.couplings outlines in
+      check_int (label ^ " coupling pairs") npairs (List.length pairs);
+      Alcotest.(check string) (label ^ " couplings") pairs_digest
+        (digest
+           (fun (c : Extract.Extractor.coupling) ->
+             Printf.sprintf "%s %s %h" c.Extract.Extractor.a
+               c.Extract.Extractor.b c.Extract.Extractor.cap_f)
+           pairs))
+    goldens
+
 let suite =
   [
     Alcotest.test_case "validate good" `Quick validate_good;
@@ -562,6 +677,7 @@ let suite =
     Alcotest.test_case "gds export placement" `Quick gds_export_placement;
     Alcotest.test_case "gds goldens" `Quick gds_goldens;
     Alcotest.test_case "gds long design name" `Quick gds_long_design_name;
+    Alcotest.test_case "signoff goldens" `Quick signoff_goldens;
     QCheck_alcotest.to_alcotest gds_export_order;
     Alcotest.test_case "generate: multiplier correct" `Quick
       generate_multiplier_correct;

@@ -137,16 +137,37 @@ let contained_rect_inter_is_inner =
       | Some r -> Geom.Rect.equal r b
       | None -> false)
 
+(* A box and a segment whose endpoints are fractional, integer or exactly
+   on the box's edges, where the Liang-Barsky max/min ties decide the
+   interval; one segment in four is horizontal, vertical or zero-length. *)
 let segment_arb =
   QCheck.make
     ~print:(fun (s, r) ->
       Format.asprintf "%a vs %s" Geom.Segment.pp s (Geom.Rect.to_string r))
     QCheck.Gen.(
-      let* px = float_range (-40.) 40. in
-      let* py = float_range (-40.) 40. in
-      let* qx = float_range (-40.) 40. in
-      let* qy = float_range (-40.) 40. in
       let* r = QCheck.gen rect_arb in
+      let coord lo hi =
+        oneof
+          [
+            float_range (-40.) 40.;
+            map float_of_int (int_range (-40) 40);
+            oneofl [ float_of_int lo; float_of_int hi ];
+          ]
+      in
+      let x = coord r.Geom.Rect.x0 r.Geom.Rect.x1 in
+      let y = coord r.Geom.Rect.y0 r.Geom.Rect.y1 in
+      let* px = x in
+      let* py = y in
+      let* qx = x in
+      let* qy = y in
+      let* shape = int_range 0 7 in
+      let qx, qy =
+        match shape with
+        | 0 -> (qx, py)
+        | 1 -> (px, qy)
+        | 2 -> (px, py)
+        | _ -> (qx, qy)
+      in
       return (Geom.Segment.make (Geom.Vec.v px py) (Geom.Vec.v qx qy), r))
 
 let clip_stays_within_bounds =
@@ -253,28 +274,102 @@ let segment_clip_inside_points =
         && p.Geom.Vec.y >= 5. -. 1e-6
         && p.Geom.Vec.y <= 15. +. 1e-6)
 
+(* The option-threaded Liang-Barsky that clip_to_rect_f computed before it
+   stopped allocating per half-plane: the reference its intervals must
+   equal bit for bit.  Stdlib's polymorphic max/min return their first
+   argument on a tie, which decides the sign of a zero t0. *)
+let clip_reference (s : Geom.Segment.t) ~x0 ~y0 ~x1 ~y1 =
+  let p0 = s.Geom.Segment.p and p1 = s.Geom.Segment.q in
+  let dx = p1.Geom.Vec.x -. p0.Geom.Vec.x
+  and dy = p1.Geom.Vec.y -. p0.Geom.Vec.y in
+  let update (t0, t1) p q =
+    if Float.abs p < 1e-12 then if q < 0. then None else Some (t0, t1)
+    else
+      let r = q /. p in
+      if p < 0. then if r > t1 then None else Some (max t0 r, t1)
+      else if r < t0 then None
+      else Some (t0, min t1 r)
+  in
+  let ( >>= ) o f = match o with None -> None | Some v -> f v in
+  Some (0., 1.)
+  >>= fun i -> update i (-.dx) (p0.Geom.Vec.x -. x0)
+  >>= fun i -> update i dx (x1 -. p0.Geom.Vec.x)
+  >>= fun i -> update i (-.dy) (p0.Geom.Vec.y -. y0)
+  >>= fun i -> update i dy (y1 -. p0.Geom.Vec.y)
+  >>= fun (t0, t1) -> if t1 <= t0 then None else Some (t0, t1)
+
+let clip_matches_reference =
+  QCheck.Test.make
+    ~name:"clip_to_rect_f equals the Liang-Barsky reference bit for bit"
+    ~count:3000 segment_arb (fun (s, r) ->
+      let x0 = float_of_int r.Geom.Rect.x0 and y0 = float_of_int r.Geom.Rect.y0 in
+      let x1 = float_of_int r.Geom.Rect.x1 and y1 = float_of_int r.Geom.Rect.y1 in
+      let bits = Int64.bits_of_float in
+      match
+        ( Geom.Segment.clip_to_rect_f s ~x0 ~y0 ~x1 ~y1,
+          clip_reference s ~x0 ~y0 ~x1 ~y1 )
+      with
+      | None, None -> true
+      | Some (a0, a1), Some (b0, b1) ->
+        Int64.equal (bits a0) (bits b0) && Int64.equal (bits a1) (bits b1)
+      | _ -> false)
+
 (* --- spatial index: behavioral invisibility vs the naive scans --- *)
 
-(* Shape soups include zero-area rectangles (w or h = 0) because the
-   rect_arb size range starts at 0. *)
-let soup_arb = QCheck.list_of_size (QCheck.Gen.int_range 0 60) rect_arb
+(* Shape soups: up to 2000 rectangles on rect_arb's field or spread over
+   one ten times wider, indexed at pitch 1-3, 7 or the automatic pitch.
+   Dense soups on a fine pitch put many ids in a bucket and give a query
+   a candidate range hundreds of bytes wide.  Zero-area rectangles come in
+   because the rect_arb size range starts at 0. *)
+let soup_arb =
+  QCheck.make
+    ~print:(fun (bucket, soup) ->
+      Printf.sprintf "bucket %s: %s"
+        (match bucket with Some b -> string_of_int b | None -> "auto")
+        (String.concat " " (List.map Geom.Rect.to_string soup)))
+    QCheck.Gen.(
+      let* bucket = oneofl [ Some 1; Some 2; Some 3; Some 7; None ] in
+      let* spread = oneofl [ 1; 10 ] in
+      let* n = frequency [ (1, int_range 0 60); (1, int_range 0 2000) ] in
+      let* soup =
+        list_repeat n
+          (let* r = QCheck.gen rect_arb in
+           return
+             (Geom.Rect.of_size
+                ~x:(spread * r.Geom.Rect.x0)
+                ~y:(spread * r.Geom.Rect.y0)
+                ~w:(Geom.Rect.width r) ~h:(Geom.Rect.height r)))
+      in
+      return (bucket, soup))
 
-let indexed soup =
-  Geom.Index.build ~bucket:7 (List.mapi (fun i r -> (r, i)) soup)
+let indexed (bucket, soup) =
+  Geom.Index.build ?bucket (List.mapi (fun i r -> (r, i)) soup)
+
+(* Track coordinates, fractional or on the integer grid, inside rect_arb's
+   field or crossing the whole extent of the wide one. *)
+let coord_arb =
+  QCheck.make ~print:string_of_float
+    QCheck.Gen.(
+      let* lim = oneofl [ 60; 340 ] in
+      oneof
+        [
+          float_range (-.float_of_int lim) (float_of_int lim);
+          map float_of_int (int_range (-lim) lim);
+        ])
 
 let index_rect_matches_naive =
   QCheck.Test.make
     ~name:"Index.query_rect equals naive scan (same order)" ~count:300
     (QCheck.pair soup_arb rect_arb)
-    (fun (soup, w) ->
+    (fun ((_, soup) as s, w) ->
       let items = List.mapi (fun i r -> (r, i)) soup in
-      Geom.Index.query_rect (indexed soup) w = Geom.Index.naive_rect items w)
+      Geom.Index.query_rect (indexed s) w = Geom.Index.naive_rect items w)
 
 let index_rect_matches_naive_default_pitch =
   QCheck.Test.make
     ~name:"Index.query_rect equals naive scan (auto pitch)" ~count:300
     (QCheck.pair soup_arb rect_arb)
-    (fun (soup, w) ->
+    (fun ((_, soup), w) ->
       let items = List.mapi (fun i r -> (r, i)) soup in
       Geom.Index.query_rect (Geom.Index.build items) w
       = Geom.Index.naive_rect items w)
@@ -282,28 +377,22 @@ let index_rect_matches_naive_default_pitch =
 let index_segment_matches_naive =
   QCheck.Test.make
     ~name:"Index.query_segment equals naive scan (same order)" ~count:300
-    (QCheck.pair soup_arb
-       QCheck.(
-         quad (float_range (-40.) 60.) (float_range (-40.) 60.)
-           (float_range (-40.) 60.) (float_range (-40.) 60.)))
-    (fun (soup, (ax, ay, bx, by)) ->
+    (QCheck.pair soup_arb (QCheck.quad coord_arb coord_arb coord_arb coord_arb))
+    (fun (((_, soup) as soup_b), (ax, ay, bx, by)) ->
       let items = List.mapi (fun i r -> (r, i)) soup in
       let s = Geom.Segment.make (Geom.Vec.v ax ay) (Geom.Vec.v bx by) in
-      Geom.Index.query_segment (indexed soup) s
+      Geom.Index.query_segment (indexed soup_b) s
       = Geom.Index.naive_segment items s)
 
 let index_vertical_segment_matches_naive =
   QCheck.Test.make
     ~name:"Index.query_segment equals naive scan (vertical tracks)"
     ~count:300
-    (QCheck.pair soup_arb
-       QCheck.(
-         triple (float_range (-40.) 60.) (float_range (-40.) 60.)
-           (float_range (-40.) 60.)))
-    (fun (soup, (x, ay, by)) ->
+    (QCheck.pair soup_arb (QCheck.triple coord_arb coord_arb coord_arb))
+    (fun (((_, soup) as soup_b), (x, ay, by)) ->
       let items = List.mapi (fun i r -> (r, i)) soup in
       let s = Geom.Segment.make (Geom.Vec.v x ay) (Geom.Vec.v x by) in
-      Geom.Index.query_segment (indexed soup) s
+      Geom.Index.query_segment (indexed soup_b) s
       = Geom.Index.naive_segment items s)
 
 let index_bucket_boundaries () =
@@ -369,6 +458,7 @@ let suite =
     QCheck_alcotest.to_alcotest complement_partitions;
     QCheck_alcotest.to_alcotest complement_disjoint;
     QCheck_alcotest.to_alcotest segment_clip_inside_points;
+    QCheck_alcotest.to_alcotest clip_matches_reference;
     Alcotest.test_case "index bucket boundaries" `Quick
       index_bucket_boundaries;
     Alcotest.test_case "index empty" `Quick index_empty;

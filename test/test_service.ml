@@ -195,6 +195,67 @@ let job_validate_and_digest () =
   checkb "testgen and fault digests differ" true
     (t1 <> Job.digest (Job.fault ~style:Layout.Cell.Vulnerable "NAND2"))
 
+(* max_angle_deg must be a finite angle in [0, 90]: a JSON 1e999 parses to
+   infinity, and an infinite angle sprays NaN tracks that cross nothing.
+   The digests and documents of in-range jobs were pinned before the
+   range check existed. *)
+let job_angle_range () =
+  let job kind angle =
+    Printf.sprintf {|{"kind":"%s","cell":"NAND2","trials":60,"max_angle_deg":%s}|}
+      kind angle
+  in
+  let parse s =
+    match Job.of_json (Result.get_ok (Json.of_string s)) with
+    | Ok j -> j
+    | Error d -> Alcotest.failf "%s: %s" s (Core.Diag.to_string d)
+  in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun angle ->
+          match Job.validate (parse (job kind angle)) with
+          | Ok () -> Alcotest.failf "%s job with angle %s accepted" kind angle
+          | Error d ->
+            check_str "stage" "service.job" d.Core.Diag.stage;
+            checkb (kind ^ " " ^ angle ^ " names max_angle_deg") true
+              (List.mem_assoc "max_angle_deg" d.Core.Diag.context))
+        [ "1e999"; "-1e999"; "-5"; "90.5" ];
+      List.iter
+        (fun angle ->
+          checkb (kind ^ " " ^ angle ^ " accepted") true
+            (Job.validate (parse (job kind angle)) = Ok ()))
+        [ "0"; "90" ])
+    [ "fault"; "testgen" ];
+  let vulnerable = Job.fault ~style:Layout.Cell.Vulnerable ~trials:300 in
+  let goldens =
+    [
+      ( "fault 8", vulnerable "NAND2",
+        "fault-473ee3e797f89a3489144c3af1d51504",
+        "81f0010595b815b71ff8def2a3ca25c8" );
+      ( "fault 0", vulnerable ~max_angle_deg:0. "NAND2",
+        "fault-4da6c6f3ca14a3c64c01914b8764a8f6",
+        "14f6a1b4c6bacdc40a25e23f79ab63c8" );
+      ( "fault 90", vulnerable ~max_angle_deg:90. "NAND2",
+        "fault-1b0e97cd6b0cc72eef3b0187bd7e8804",
+        "093213ca39802ffc26d5d557de7565dd" );
+      ( "testgen 90", Job.testgen ~trials:120 ~max_angle_deg:90. "AOI21",
+        "testgen-ad89253ac00360b64660662a274967df",
+        "1cc16470351514aa75d408e2feceeb5b" );
+    ]
+  in
+  Parallel.Pool.with_pool ~domains:1 (fun pool ->
+      List.iter
+        (fun (label, j, digest, doc) ->
+          check_str (label ^ " digest") digest (Job.digest j);
+          match
+            Service.Runner.run ~pool ~pass_cache:(Core.Pass.cache_create ()) j
+          with
+          | Ok d ->
+            check_str (label ^ " document") doc
+              (Digest.to_hex (Digest.string (Json.to_string d)))
+          | Error e -> Alcotest.fail (Core.Diag.to_string e))
+        goldens)
+
 (* --- scheduler: the four acceptance properties --- *)
 
 let quick_jobs () =
@@ -989,6 +1050,7 @@ let suite =
     Alcotest.test_case "job codec rejects" `Quick job_codec_rejects;
     Alcotest.test_case "job validate and digest" `Quick
       job_validate_and_digest;
+    Alcotest.test_case "job angle range" `Quick job_angle_range;
     Alcotest.test_case "replay invariant across domains" `Slow
       replay_domain_invariance;
     Alcotest.test_case "bounded queue rejects overload" `Quick
