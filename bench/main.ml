@@ -6,7 +6,7 @@ let usage () =
   print_endline
     "usage: main.exe [table1|fig2|immunity|fig7|screening|cs1|cs2|summary|\
      ablation|yield|variation|sta|anneal|drc|mcscale|testgen|dse|flowbench|\
-     service|loadgen|scale|perf|all]"
+     scale|perf|all]"
 
 let all_experiments =
   [
@@ -30,8 +30,6 @@ let all_experiments =
     ("testgen", Testgen_bench.run);
     ("dse", Dse_bench.run);
     ("flowbench", Flowbench.run);
-    ("service", Service_bench.run);
-    ("loadgen", Loadgen.run);
     ("scale", Scale_bench.run);
   ]
 

@@ -704,8 +704,13 @@ let serve_cmd =
   let replay =
     Arg.(value & flag & info [ "replay" ]
            ~doc:"Deterministic mode: drive the scheduler on a virtual \
-                 clock so queue waits, timestamps and completion records \
-                 are exact functions of the request stream.")
+                 clock, so each job's $(b,wall_ms) is its declared cost. \
+                 Over stdio without $(b,--workers) the whole transcript \
+                 (order, queue waits, timestamps) is then an exact \
+                 function of the request stream.  Over $(b,--socket) \
+                 jobs run as they arrive, and with $(b,--workers) \
+                 completions come in the order the children finish, so \
+                 there only each job's result and wall time are exact.")
   in
   let metrics_out =
     Arg.(value & opt (some string) None

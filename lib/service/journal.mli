@@ -90,5 +90,9 @@ val rewrite : string -> entry list -> (unit, Core.Diag.t) result
     open handle on the old file keeps appending to the {e replaced}
     inode, so close handles before rewriting and reopen after. *)
 
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents; the scheduler's result
+    cache directory is made the same way. *)
+
 val crc32 : string -> int32
 (** CRC-32 (IEEE 802.3) of a string — exposed for tests. *)

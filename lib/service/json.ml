@@ -287,8 +287,13 @@ let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 let to_float = function Num f -> Some f | _ -> None
 
+(* [int_of_float] wraps outside the int range, so 1e19 would read as
+   some unrelated id: accept exactly the floats in [-2^62, 2^62) *)
+let int_bound = Float.ldexp 1. 62
+
 let to_int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | Num f when Float.is_integer f && f >= -.int_bound && f < int_bound ->
+    Some (int_of_float f)
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None

@@ -45,7 +45,8 @@ val to_bool : t -> bool option
 val to_float : t -> float option
 
 val to_int : t -> int option
-(** [Num f] only when [f] is integral. *)
+(** [Num f] only when [f] is integral and within OCaml's int range
+    [[-2^62, 2^62)]; larger magnitudes are [None], never wrapped. *)
 
 val to_str : t -> string option
 val to_list : t -> t list option

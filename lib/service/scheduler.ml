@@ -57,6 +57,7 @@ type stats = {
 type jrec = {
   jid : int;
   jjob : Job.t;
+  jdigest : string;
   jpriority : priority;
   jtrace : string;
   arrival_ms : float;
@@ -101,8 +102,8 @@ type t = {
   mutable jnl_truncated : bool;  (* recover discarded a torn tail *)
   mutable jnl_compactions : int;
   (* jobs handed out through next_dispatch and not yet completed or
-     requeued: id -> queue wait at dispatch *)
-  dispatched : (int, float) Hashtbl.t;
+     requeued: id -> (queue wait, clock reading) at dispatch *)
+  dispatched : (int, float * float) Hashtbl.t;
 }
 
 let stage = "service.scheduler"
@@ -131,16 +132,6 @@ let advance t ms =
   match t.config.clock with
   | Virtual -> t.vnow_ms <- t.vnow_ms +. ms
   | Wall -> ()
-
-let mkdir_p dir =
-  (* cache dirs are shallow (_artifacts/service_cache); build each level *)
-  let rec build d =
-    if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      build (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  build dir
 
 (* [cache_store] writes through [<digest>.json.tmp.<pid>]; a writer that
    died between creating the tmp and renaming it leaves an orphan no one
@@ -171,7 +162,7 @@ let create ?(config = default_config) () =
     invalid_arg "Scheduler.create: capacity must be >= 1";
   Option.iter
     (fun dir ->
-      mkdir_p dir;
+      Journal.mkdir_p dir;
       sweep_orphan_tmps dir)
     config.cache_dir;
   let jnl =
@@ -246,8 +237,7 @@ let reject t ?trace_id ~job diag =
 (* A submission that does not carry a trace id gets a deterministic one:
    the job id (deterministic under replay) plus a digest prefix, so the
    id is stable across reruns yet unique per submission. *)
-let fresh_trace_id id job =
-  let digest = Job.digest job in
+let fresh_trace_id id digest =
   let prefix =
     let hex =
       match String.index_opt digest '-' with
@@ -260,6 +250,22 @@ let fresh_trace_id id job =
   Printf.sprintf "t%d-%s" id prefix
 
 let jappend t entry = Option.iter (fun j -> Journal.append j entry) t.jnl
+
+(* Every change to the queued set goes through [enqueue] and [take], so
+   the total depth and the per-class depths cannot drift apart. *)
+let enqueue t r =
+  r.jstate <- Queued;
+  Queue.push r (queue_for t r.jpriority);
+  t.queued_count <- t.queued_count + 1;
+  let ci = class_index r.jpriority in
+  t.queued_by.(ci) <- t.queued_by.(ci) + 1
+
+(* [r] leaves the queued set.  A cancelled record stays in its FIFO and
+   is dropped lazily by [dequeue]. *)
+let take t r =
+  t.queued_count <- t.queued_count - 1;
+  let ci = class_index r.jpriority in
+  t.queued_by.(ci) <- t.queued_by.(ci) - 1
 
 let outcome_string = function
   | Done _ -> "done"
@@ -302,15 +308,17 @@ let submit t ?(priority = Normal) ?deadline_ms ?cost_ms ?trace_id job =
         else begin
           let id = t.next_id in
           t.next_id <- id + 1;
+          let digest = Job.digest job in
           let jtrace =
             match trace_id with
             | Some tid -> tid
-            | None -> fresh_trace_id id job
+            | None -> fresh_trace_id id digest
           in
           let r =
             {
               jid = id;
               jjob = job;
+              jdigest = digest;
               jpriority = priority;
               jtrace;
               arrival_ms = now_ms t;
@@ -321,10 +329,7 @@ let submit t ?(priority = Normal) ?deadline_ms ?cost_ms ?trace_id job =
             }
           in
           Hashtbl.replace t.jobs id r;
-          Queue.push r (queue_for t priority);
-          t.queued_count <- t.queued_count + 1;
-          let ci = class_index priority in
-          t.queued_by.(ci) <- t.queued_by.(ci) + 1;
+          enqueue t r;
           (* the WAL write happens before the submission is acknowledged:
              an accepted job survives a crash *)
           jappend t
@@ -332,7 +337,7 @@ let submit t ?(priority = Normal) ?deadline_ms ?cost_ms ?trace_id job =
                {
                  sid = id;
                  sjob = job;
-                 sdigest = Job.digest job;
+                 sdigest = digest;
                  strace = jtrace;
                  spriority = priority_string priority;
                  sdeadline_ms = deadline_ms;
@@ -355,19 +360,12 @@ let cancel t id =
   | Some r -> (
     match r.jstate with
     | Queued ->
-      (* leave it in its FIFO; run_next skips non-Queued records *)
+      take t r;
       r.jstate <- Finished Cancelled;
-      t.queued_count <- t.queued_count - 1;
-      let ci = class_index r.jpriority in
-      t.queued_by.(ci) <- t.queued_by.(ci) - 1;
       t.cancelled_count <- t.cancelled_count + 1;
       jappend t
         (Journal.Settle
-           {
-             tid = r.jid;
-             tdigest = Job.digest r.jjob;
-             toutcome = "cancelled";
-           });
+           { tid = r.jid; tdigest = r.jdigest; toutcome = "cancelled" });
       Telemetry.counter_add "service.cancelled" 1;
       Telemetry.Events.emit ~trace_id:r.jtrace "job.cancelled"
         ~attrs:[ ("id", Telemetry.Int r.jid) ];
@@ -427,7 +425,7 @@ let cache_store t digest result =
       (try Sys.remove tmp with Sys_error _ -> ()))
 
 (* ------------------------------------------------------------------ *)
-(* Execution                                                          *)
+(* Dequeue and settlement                                             *)
 
 let wait_buckets = [| 1.; 10.; 100.; 1000.; 10_000. |]
 
@@ -448,11 +446,7 @@ let finish t r outcome ~queue_wait_ms =
   r.jstate <- Finished outcome;
   jappend t
     (Journal.Settle
-       {
-         tid = r.jid;
-         tdigest = Job.digest r.jjob;
-         toutcome = outcome_string outcome;
-       });
+       { tid = r.jid; tdigest = r.jdigest; toutcome = outcome_string outcome });
   let event, extra =
     match outcome with
     | Done { cached; _ } ->
@@ -490,83 +484,13 @@ let finish t r outcome ~queue_wait_ms =
     trace_id = r.jtrace;
   }
 
-let execute t r ~queue_wait_ms =
-  let digest = Job.digest r.jjob in
-  match cache_lookup t digest with
-  | Some result ->
-    t.cache_hits <- t.cache_hits + 1;
-    Telemetry.counter_add "service.cache_hits" 1;
-    Telemetry.instant "service.cache_hit"
-      ~attrs:
-        [
-          ("digest", Telemetry.String digest);
-          ("trace_id", Telemetry.String r.jtrace);
-        ];
-    Telemetry.Events.emit ~trace_id:r.jtrace "job.cache_hit"
-      ~attrs:
-        [ ("id", Telemetry.Int r.jid); ("digest", Telemetry.String digest) ];
-    finish t r (Done { cached = true; wall_ms = 0.; result }) ~queue_wait_ms
-  | None ->
-    t.executed <- t.executed + 1;
-    let attrs =
-      [
-        ("job", Telemetry.String (Job.describe r.jjob));
-        ("kind", Telemetry.String (Job.kind r.jjob));
-        ("priority", Telemetry.String (priority_string r.jpriority));
-        ("queue_wait_ms", Telemetry.Float queue_wait_ms);
-        ("trace_id", Telemetry.String r.jtrace);
-      ]
-    in
-    let started = now_ms t in
-    let outcome =
-      Telemetry.with_span "service.job" ~attrs (fun () ->
-          Runner.run ~pool:t.pool ~pass_cache:t.pass_cache r.jjob)
-    in
-    advance t r.cost_ms;
-    let wall_ms =
-      match t.config.clock with
-      | Virtual -> r.cost_ms
-      | Wall -> now_ms t -. started
-    in
-    (match outcome with
-    | Ok result ->
-      cache_store t digest result;
-      finish t r (Done { cached = false; wall_ms; result }) ~queue_wait_ms
-    | Error d -> finish t r (Failed d) ~queue_wait_ms)
-
-let run_next t =
-  match dequeue t with
-  | None -> None
-  | Some r ->
-    t.queued_count <- t.queued_count - 1;
-    let ci = class_index r.jpriority in
-    t.queued_by.(ci) <- t.queued_by.(ci) - 1;
-    let queue_wait_ms = now_ms t -. r.arrival_ms in
-    Telemetry.histogram_observe "service.queue_wait_ms"
-      ~buckets:wait_buckets queue_wait_ms;
-    let completion =
-      match r.deadline_ms with
-      | Some d when queue_wait_ms > d ->
-        finish t r (Expired { late_ms = queue_wait_ms -. d }) ~queue_wait_ms
-      | _ ->
-        r.jstate <- Running;
-        Telemetry.Events.emit ~trace_id:r.jtrace "job.started"
-          ~attrs:
-            [
-              ("id", Telemetry.Int r.jid);
-              ("queue_wait_ms", Telemetry.Float queue_wait_ms);
-            ];
-        execute t r ~queue_wait_ms
-    in
-    Some completion
-
 (* ------------------------------------------------------------------ *)
-(* Out-of-process dispatch: the worker-sharding server pops jobs with
-   [next_dispatch] instead of [run_next], ships them to a child process,
-   and settles them with [complete_dispatch] — or puts them back with
-   [requeue_dispatch] when the child dies mid-job.  The dequeue policy,
-   the deadline check, the cache and the journal are exactly the
-   in-process ones; only the execution happens elsewhere. *)
+(* Dispatch: every job, in-process or on a worker process, goes from the
+   queue to its settlement through [next_dispatch] and
+   [complete_dispatch].  The dequeue policy, the deadline check, the
+   cache and the journal live here once; [run_next] runs the job in
+   between, and the worker-sharding server ships it to a child process
+   (or puts it back with [requeue_dispatch] when the child dies). *)
 
 type dispatch =
   | Run of {
@@ -581,9 +505,7 @@ let next_dispatch t =
   match dequeue t with
   | None -> None
   | Some r ->
-    t.queued_count <- t.queued_count - 1;
-    let ci = class_index r.jpriority in
-    t.queued_by.(ci) <- t.queued_by.(ci) - 1;
+    take t r;
     let queue_wait_ms = now_ms t -. r.arrival_ms in
     Telemetry.histogram_observe "service.queue_wait_ms" ~buckets:wait_buckets
       queue_wait_ms;
@@ -593,74 +515,98 @@ let next_dispatch t =
         Resolved
           (finish t r (Expired { late_ms = queue_wait_ms -. d }) ~queue_wait_ms)
       | _ -> (
-        let digest = Job.digest r.jjob in
-        match cache_lookup t digest with
+        r.jstate <- Running;
+        Telemetry.Events.emit ~trace_id:r.jtrace "job.started"
+          ~attrs:
+            [
+              ("id", Telemetry.Int r.jid);
+              ("queue_wait_ms", Telemetry.Float queue_wait_ms);
+            ];
+        match cache_lookup t r.jdigest with
         | Some result ->
           t.cache_hits <- t.cache_hits + 1;
           Telemetry.counter_add "service.cache_hits" 1;
+          Telemetry.instant "service.cache_hit"
+            ~attrs:
+              [
+                ("digest", Telemetry.String r.jdigest);
+                ("trace_id", Telemetry.String r.jtrace);
+              ];
           Telemetry.Events.emit ~trace_id:r.jtrace "job.cache_hit"
             ~attrs:
               [
                 ("id", Telemetry.Int r.jid);
-                ("digest", Telemetry.String digest);
+                ("digest", Telemetry.String r.jdigest);
               ];
           Resolved
             (finish t r (Done { cached = true; wall_ms = 0.; result })
                ~queue_wait_ms)
         | None ->
-          r.jstate <- Running;
-          Hashtbl.replace t.dispatched r.jid queue_wait_ms;
-          Telemetry.Events.emit ~trace_id:r.jtrace "job.started"
-            ~attrs:
-              [
-                ("id", Telemetry.Int r.jid);
-                ("queue_wait_ms", Telemetry.Float queue_wait_ms);
-              ];
+          Hashtbl.replace t.dispatched r.jid (queue_wait_ms, now_ms t);
           Run
             {
               disp_id = r.jid;
               disp_job = r.jjob;
-              disp_digest = digest;
+              disp_digest = r.jdigest;
               disp_trace = r.jtrace;
             }))
 
-let complete_dispatch t id ?(wall_ms = 0.) result =
-  match Hashtbl.find_opt t.jobs id with
+let complete_dispatch t id ?wall_ms result =
+  match Hashtbl.find_opt t.dispatched id with
   | None -> None
-  | Some r ->
-    if r.jstate <> Running || not (Hashtbl.mem t.dispatched id) then None
-    else begin
-      let queue_wait_ms =
-        Option.value ~default:0. (Hashtbl.find_opt t.dispatched id)
-      in
-      Hashtbl.remove t.dispatched id;
-      t.executed <- t.executed + 1;
-      advance t r.cost_ms;
-      match result with
+  | Some (queue_wait_ms, started_ms) ->
+    Hashtbl.remove t.dispatched id;
+    let r = Hashtbl.find t.jobs id in
+    t.executed <- t.executed + 1;
+    advance t r.cost_ms;
+    let wall_ms =
+      match (wall_ms, t.config.clock) with
+      | Some ms, _ -> ms
+      | None, Virtual -> r.cost_ms
+      | None, Wall -> now_ms t -. started_ms
+    in
+    Some
+      (match result with
       | Ok result ->
-        cache_store t (Job.digest r.jjob) result;
-        Some
-          (finish t r (Done { cached = false; wall_ms; result }) ~queue_wait_ms)
-      | Error d -> Some (finish t r (Failed d) ~queue_wait_ms)
-    end
+        cache_store t r.jdigest result;
+        finish t r (Done { cached = false; wall_ms; result }) ~queue_wait_ms
+      | Error d -> finish t r (Failed d) ~queue_wait_ms)
+
+(* In-process execution is the one-slot case of dispatch: the job runs
+   right here, on the pool, between the two calls. *)
+let run_next t =
+  match next_dispatch t with
+  | None -> None
+  | Some (Resolved c) -> Some c
+  | Some (Run { disp_id; disp_job; disp_trace; _ }) ->
+    let r = Hashtbl.find t.jobs disp_id in
+    let queue_wait_ms, _ = Hashtbl.find t.dispatched disp_id in
+    let attrs =
+      [
+        ("job", Telemetry.String (Job.describe disp_job));
+        ("kind", Telemetry.String (Job.kind disp_job));
+        ("priority", Telemetry.String (priority_string r.jpriority));
+        ("queue_wait_ms", Telemetry.Float queue_wait_ms);
+        ("trace_id", Telemetry.String disp_trace);
+      ]
+    in
+    let result =
+      Telemetry.with_span "service.job" ~attrs (fun () ->
+          Runner.run ~pool:t.pool ~pass_cache:t.pass_cache disp_job)
+    in
+    complete_dispatch t disp_id result
 
 let requeue_dispatch t id =
-  match Hashtbl.find_opt t.jobs id with
-  | None -> ()
-  | Some r ->
-    if r.jstate = Running && Hashtbl.mem t.dispatched id then begin
-      Hashtbl.remove t.dispatched id;
-      r.jstate <- Queued;
-      (* back of its class FIFO: re-arrivals queue behind their peers,
-         and the journal still holds the unsettled Submit record *)
-      Queue.push r (queue_for t r.jpriority);
-      t.queued_count <- t.queued_count + 1;
-      let ci = class_index r.jpriority in
-      t.queued_by.(ci) <- t.queued_by.(ci) + 1;
-      Telemetry.counter_add "service.requeued" 1;
-      Telemetry.Events.emit ~trace_id:r.jtrace "job.requeued"
-        ~attrs:[ ("id", Telemetry.Int r.jid) ]
-    end
+  if Hashtbl.mem t.dispatched id then begin
+    Hashtbl.remove t.dispatched id;
+    let r = Hashtbl.find t.jobs id in
+    (* back of its class FIFO: re-arrivals queue behind their peers,
+       and the journal still holds the unsettled Submit record *)
+    enqueue t r;
+    Telemetry.counter_add "service.requeued" 1;
+    Telemetry.Events.emit ~trace_id:r.jtrace "job.requeued"
+      ~attrs:[ ("id", Telemetry.Int r.jid) ]
+  end
 
 let dispatched_count t = Hashtbl.length t.dispatched
 
@@ -715,6 +661,7 @@ let recover t =
               {
                 jid = id;
                 jjob = sjob;
+                jdigest = Job.digest sjob;
                 jpriority = priority;
                 jtrace = strace;
                 arrival_ms = now_ms t;
@@ -737,10 +684,7 @@ let recover t =
               incr nrequeued;
               let r = jrec Queued in
               Hashtbl.replace t.jobs id r;
-              Queue.push r (queue_for t priority);
-              t.queued_count <- t.queued_count + 1;
-              let ci = class_index priority in
-              t.queued_by.(ci) <- t.queued_by.(ci) + 1;
+              enqueue t r;
               pending :=
                 Journal.Submit
                   {

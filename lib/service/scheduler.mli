@@ -7,13 +7,17 @@
     Jobs are {e batched}, not preemptive: {!drain} (or {!await}) pulls
     one job at a time off the queue — strict priority across classes
     ([High] before [Normal] before [Low]), FIFO within a class — and runs
-    it to completion on the calling domain.  Parallelism lives {e inside}
-    jobs: campaigns and sweeps map-reduce on the scheduler's
-    {!Parallel.Pool}, whose size is [config.domains].  Because job
-    results are domain-count-invariant (the PR-1 engine guarantee) and
-    the dequeue policy never consults the pool, the completion order and
-    every completion record are {b bit-identical at any [domains]} under
-    the virtual clock.
+    it to completion on the calling domain.  Every job takes one path
+    from admission to settlement, whether it runs here or on a worker
+    process: {!next_dispatch} dequeues it (settling expiries and cache
+    hits on the spot), something runs it, and {!complete_dispatch}
+    settles it; {!run_next} is that path with the job run in-process.
+    Parallelism lives {e inside} jobs: campaigns and sweeps map-reduce
+    on the scheduler's {!Parallel.Pool}, whose size is [config.domains].
+    Because job results are domain-count-invariant (the PR-1 engine
+    guarantee) and the dequeue policy never consults the pool, the
+    completion order and every completion record are {b bit-identical at
+    any [domains]} under the virtual clock.
 
     {2 Thread safety}
 
@@ -90,7 +94,9 @@ val default_config : config
 type terminal =
   | Done of { cached : bool; wall_ms : float; result : Json.t }
       (** [wall_ms] is 0 for cache hits, the declared cost under the
-          virtual clock, measured time otherwise *)
+          virtual clock, and the measured time from dispatch to
+          settlement otherwise — the same rule in-process and on
+          workers *)
   | Failed of Core.Diag.t
   | Cancelled
   | Expired of { late_ms : float }
@@ -160,7 +166,9 @@ val state : t -> int -> (state, Core.Diag.t) result
 
 val run_next : t -> completion option
 (** Dequeue and run (or expire) the single highest-priority job; [None]
-    when the queue is empty.  The building block of {!drain} and
+    when the queue is empty.  It is {!next_dispatch}, then
+    {!Runner.run} inside a [service.job] span, then
+    {!complete_dispatch}.  The building block of {!drain} and
     {!await}. *)
 
 val drain : ?on_completion:(completion -> unit) -> t -> completion list
@@ -188,14 +196,14 @@ val uptime_ms : t -> float
 val now_ms : t -> float
 (** Current clock reading (virtual or wall), for tests and servers. *)
 
-(** {1 Out-of-process dispatch}
+(** {1 Dispatch}
 
-    The worker-sharding server ({!Workers}) pops jobs with
-    {!next_dispatch} instead of {!run_next}, ships them to child
-    processes, and settles them with {!complete_dispatch} — or returns
-    them to the queue with {!requeue_dispatch} when a child dies
-    mid-job.  Dequeue policy, deadline expiry, the digest cache and the
-    journal behave exactly as for in-process execution. *)
+    The one execution path.  {!run_next} runs a dispatched job in
+    process; the worker-sharding server ({!Workers}) instead ships it to
+    a child process and settles it with {!complete_dispatch} — or
+    returns it to the queue with {!requeue_dispatch} when the child dies
+    mid-job.  Dequeue policy, deadline expiry, the digest cache, the
+    journal and every telemetry event are therefore the same for both. *)
 
 type dispatch =
   | Run of {
@@ -216,10 +224,12 @@ val next_dispatch : t -> dispatch option
 val complete_dispatch :
   t -> int -> ?wall_ms:float -> (Json.t, Core.Diag.t) result ->
   completion option
-(** Settle a dispatched job with the result its worker produced: [Ok]
+(** Settle a dispatched job with the result its runner produced: [Ok]
     stores the result in the digest cache and completes the job as
     [Done { cached = false }]; [Error] completes it as [Failed].  [None]
-    if the id is not currently dispatched (e.g. already requeued). *)
+    if the id is not currently dispatched (e.g. already requeued).
+    Without [?wall_ms] the recorded time follows the clock mode (see
+    {!terminal}); an explicit [wall_ms] is recorded as given. *)
 
 val requeue_dispatch : t -> int -> unit
 (** Return a dispatched job to the back of its priority FIFO (worker

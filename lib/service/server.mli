@@ -62,56 +62,44 @@
     [{"stage","severity","message","context":{...}}].  Blank lines are
     ignored.
 
-    Over stdio ({!serve}) the server is sequential: jobs run on
-    {!Scheduler.drain}, so lines stream in arrival-completion order.
+    {2 Transports}
+
+    One request handler answers every op for both transports; a
+    transport only decides how a reply leaves and when jobs run.
+
+    Over stdio ({!serve}) the server is sequential: jobs run only at
+    ["drain"] and at end of input, so a [--replay] transcript is an exact
+    function of the request stream.  Its one client receives every
+    completion, including jobs re-enqueued by journal recovery.
+
     Over a socket ({!serve_socket}) the server is {e concurrent}: many
-    clients share one scheduler, jobs are pumped between I/O rounds, and
+    clients share one scheduler, jobs are pumped one per I/O round, and
     each ["done"] event streams to the connection that submitted the job
-    as soon as it completes — possibly before any ["drain"]; ["drain"]
-    then reports how many of {e the requester's} jobs finished in it.
-    Submissions carry no connection identity on the wire, so ids are
-    global and ["status"]/["stats"] see the shared scheduler. *)
+    as soon as it completes — possibly before any ["drain"].  The order
+    therefore depends on arrival timing, not only on the requests.
+    ["drain"] reports how many of {e the requester's} jobs finished in
+    it.  Submissions carry no connection identity on the wire, so ids
+    are global and ["status"]/["stats"] see the shared scheduler.
 
-val diag_json : Core.Diag.t -> Json.t
+    With a worker pool ({!Workers}) jobs run in child processes on either
+    transport, and completions arrive in the order the children finish. *)
 
-val event_of_completion : Scheduler.completion -> Json.t
-(** The ["done"] event line for a completion (shared with tests); always
-    carries the completion's [trace_id]. *)
-
-val stats_event : ?extra:(string * Json.t) list -> Scheduler.t -> Json.t
-(** The ["stats"] reply; [?extra] members are appended (the socket server
-    adds its connection counters).  Exposed for the field-set pin test. *)
-
-val health_event :
-  ?in_flight:int -> ?extra:(string * Json.t) list -> Scheduler.t -> Json.t
-(** The ["health"] reply.  [in_flight] defaults to 0 (the stdio server
-    has no connection-owned jobs to count). *)
-
-val metrics_event : unit -> Json.t
-(** The ["metrics"] reply: the Prometheus exposition of
-    [Telemetry.collect ()] wrapped in one JSON document. *)
-
-val handle :
-  ?on_event:(Json.t -> unit) -> ?workers:Workers.t ->
-  Scheduler.t -> string -> Json.t list
-(** Process one request line, returning the response documents it
-    produces (several for [drain]).  When [on_event] is given, [drain]'s
-    per-completion events go through it {e as they happen} instead of
-    being collected — what lets {!serve} stream.  With [workers], [drain]
-    runs on the pool ({!Workers.drain}) and stats/health replies carry
-    the pool members.  Exposed for tests; {!serve} is this in a
-    read-print loop. *)
+val handle : Scheduler.t -> string -> Json.t list
+(** Answer one request line as a stdio client would see it, returning
+    the response documents (several for [drain]).  Exposed for tests;
+    {!serve} runs the same handler in a read-print loop. *)
 
 val serve :
   ?on_tick:(unit -> unit) -> ?workers:Workers.t ->
   Scheduler.t -> in_channel -> out_channel -> unit
 (** Serve NDJSON until end-of-input, then drain the queue (streaming the
-    final ["done"] events) and return.  Each response line is flushed
-    before the next request is read.  [on_tick] fires after each handled
-    request line and once after the final drain — the CLI hangs its
-    periodic metrics dump on it.  With [workers], queued jobs execute on
-    the pool instead of in-process; the caller owns the pool's lifecycle
-    ({!Workers.shutdown} after this returns). *)
+    final ["done"] events) and return.  Each response line is flushed as
+    it is produced, so a ["drain"] streams its ["done"] events.
+    [on_tick] fires after each handled request line and once after the
+    final drain — the CLI hangs its periodic metrics dump on it.  With
+    [workers], queued jobs execute on the pool instead of in-process; the
+    caller owns the pool's lifecycle ({!Workers.shutdown} after this
+    returns). *)
 
 type serve_stats = {
   accepted : int;  (** connections accepted over the server's lifetime *)
@@ -135,13 +123,13 @@ val serve_socket :
   Scheduler.t ->
   path:string ->
   serve_stats
-(** Bind a Unix-domain socket at [path] (replacing any stale socket
-    file) and serve up to [connections] (default 1) clients {e
-    concurrently} — at most [max_conns] (default 8) simultaneously —
-    on a [select]-based event loop, then drain the scheduler, close and
-    unlink.  The scheduler — and its result cache — is shared by every
+(** Bind a Unix-domain socket at [path] and serve up to [connections]
+    (default 1) clients {e concurrently} — at most [max_conns] (default
+    8) simultaneously — on a [select]-based event loop, then drain the
+    scheduler, close and unlink.  The scheduler — and its result cache — is shared by every
     connection (its entry points are mutex-guarded, see
-    {!Scheduler}).
+    {!Scheduler}).  A stale socket at [path] is replaced; anything else
+    there is left untouched and the call raises [Core.Diag.Failure].
 
     Guarantees:
 

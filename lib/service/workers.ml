@@ -168,14 +168,11 @@ let release_parked t sched digest =
 
 let fail_job t sched ~route id =
   Hashtbl.remove t.attempts id;
-  match
-    Scheduler.complete_dispatch sched id
-      (Error
-         (Core.Diag.errorf ~stage "worker died %d times running this job"
-            max_attempts))
-  with
-  | Some c -> route c
-  | None -> ()
+  Option.iter route
+    (Scheduler.complete_dispatch sched id
+       (Error
+          (Core.Diag.errorf ~stage "worker died %d times running this job"
+             max_attempts)))
 
 let worker_died t sched ~route w =
   if w.alive then begin
@@ -210,7 +207,10 @@ let worker_died t sched ~route w =
     end
   end
 
-let settle t sched ~route w result ~wall_ms =
+(* The worker's own timing is not forwarded: the scheduler takes
+   [wall_ms] from its clock mode, so a job reports the same figure on a
+   worker as in-process. *)
+let settle t sched ~route w result =
   match w.current with
   | None -> () (* stray reply (e.g. after a requeue); nothing to settle *)
   | Some { c_id; c_digest } ->
@@ -218,9 +218,7 @@ let settle t sched ~route w result ~wall_ms =
     w.jobs_done <- w.jobs_done + 1;
     Hashtbl.remove t.running c_digest;
     Hashtbl.remove t.attempts c_id;
-    (match Scheduler.complete_dispatch sched c_id ~wall_ms result with
-    | Some c -> route c
-    | None -> ());
+    Option.iter route (Scheduler.complete_dispatch sched c_id result);
     release_parked t sched c_digest
 
 let on_reply t sched ~route w line =
@@ -231,32 +229,27 @@ let on_reply t sched ~route w line =
     | Ok j -> (
       match Option.bind (Json.member "event" j) Json.to_str with
       | Some "done" -> (
-        let wall_ms =
-          Option.value ~default:0.
-            (Option.bind (Json.member "wall_ms" j) Json.to_float)
-        in
         match Option.bind (Json.member "state" j) Json.to_str with
         | Some "done" ->
           let result = Option.value ~default:Json.Null (Json.member "result" j) in
-          settle t sched ~route w (Ok result) ~wall_ms
+          settle t sched ~route w (Ok result)
         | Some "failed" ->
           let d =
             match Json.member "error" j with
             | Some e -> diag_of_json e
             | None -> Core.Diag.error ~stage "worker reported failure"
           in
-          settle t sched ~route w (Error d) ~wall_ms
+          settle t sched ~route w (Error d)
         | _ ->
           settle t sched ~route w
-            (Error (Core.Diag.error ~stage "unexpected worker completion state"))
-            ~wall_ms)
+            (Error (Core.Diag.error ~stage "unexpected worker completion state")))
       | Some "rejected" | Some "error" ->
         let d =
           match Json.member "error" j with
           | Some e -> diag_of_json e
           | None -> Core.Diag.error ~stage "worker rejected the job"
         in
-        settle t sched ~route w (Error d) ~wall_ms:0.
+        settle t sched ~route w (Error d)
       | _ -> () (* accepted, drained, ... *))
 
 (* ------------------------------------------------------------------ *)
@@ -292,31 +285,26 @@ let start t sched ~route w ~id ~digest ~trace job =
   if not (send_all w.fd lines) then worker_died t sched ~route w
 
 let rec dispatch t sched ~route =
-  if t.shutting_down then ()
-  else if t.gave_up && active t = 0 then
-    (* no workers left and no respawn budget: drain the queue as
-       failures rather than hanging the server *)
-    match Scheduler.next_dispatch sched with
-    | None -> ()
-    | Some (Scheduler.Resolved c) ->
-      route c;
-      dispatch t sched ~route
-    | Some (Scheduler.Run { disp_id; _ }) ->
-      (match
-         Scheduler.complete_dispatch sched disp_id
-           (Error (Core.Diag.error ~stage "no live workers (respawn budget exhausted)"))
-       with
-      | Some c -> route c
-      | None -> ());
-      dispatch t sched ~route
-  else if Array.exists (fun w -> w.alive && w.current = None) t.slots then (
+  (* with no workers left and no respawn budget, the queue drains as
+     failures rather than hanging the server *)
+  let stranded = t.gave_up && active t = 0 in
+  if
+    (not t.shutting_down)
+    && (stranded || Array.exists (fun w -> w.alive && w.current = None) t.slots)
+  then
     match Scheduler.next_dispatch sched with
     | None -> ()
     | Some (Scheduler.Resolved c) ->
       route c;
       dispatch t sched ~route
     | Some (Scheduler.Run { disp_id; disp_job; disp_digest; disp_trace }) ->
-      (if Hashtbl.mem t.running disp_digest then begin
+      (if stranded then
+         Option.iter route
+           (Scheduler.complete_dispatch sched disp_id
+              (Error
+                 (Core.Diag.error ~stage
+                    "no live workers (respawn budget exhausted)")))
+       else if Hashtbl.mem t.running disp_digest then begin
          (* duplicate of an in-flight digest: park it; it requeues when
             the twin settles and resolves as a cache hit *)
          let ids =
@@ -338,7 +326,7 @@ let rec dispatch t sched ~route =
          | None ->
            (* raced out of idle slots (worker died under us): put it back *)
            Scheduler.requeue_dispatch sched disp_id);
-      dispatch t sched ~route)
+      dispatch t sched ~route
 
 (* ------------------------------------------------------------------ *)
 (* Event-loop integration                                             *)

@@ -362,6 +362,61 @@ let dispatch_api () =
       check_int "ledger counted the failure" 1
         (Scheduler.stats t).Scheduler.failed)
 
+(* In-process execution is the one-slot case of dispatch, so a batch
+   drained in-process and one driven by hand through next_dispatch /
+   Runner.run / complete_dispatch settle identically, wall times
+   included: under the virtual clock a computed job reports its declared
+   cost on either path. *)
+let dispatch_matches_in_process () =
+  let config = { Scheduler.default_config with clock = Scheduler.Virtual } in
+  let submit_batch t =
+    let submit ?deadline_ms ~cost_ms job =
+      ignore (Result.get_ok (Scheduler.submit t ?deadline_ms ~cost_ms job))
+    in
+    let fresh = Job.fault ~trials:40 ~seed:3 "NAND2" in
+    submit ~cost_ms:3. fresh;
+    (* the same digest again: a cache hit *)
+    submit ~cost_ms:3. fresh;
+    (* waits 3 ms behind the first job: expires *)
+    submit ~deadline_ms:1. ~cost_ms:2. (Job.fault ~trials:40 ~seed:4 "NOR2");
+    (* passes admission, fails to parse at run time *)
+    submit ~cost_ms:5. (Job.flow (Job.Netlist_text "not a netlist"))
+  in
+  let in_process =
+    Scheduler.with_scheduler ~config (fun t ->
+        submit_batch t;
+        Scheduler.drain t)
+  in
+  let by_hand =
+    Scheduler.with_scheduler ~config (fun t ->
+        submit_batch t;
+        let pool = Parallel.Pool.create ~domains:1 () in
+        let pass_cache = Core.Pass.cache_create () in
+        Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool)
+        @@ fun () ->
+        let rec loop acc =
+          match Scheduler.next_dispatch t with
+          | None -> List.rev acc
+          | Some (Scheduler.Resolved c) -> loop (c :: acc)
+          | Some (Scheduler.Run { disp_id; disp_job; _ }) -> (
+            let result = Service.Runner.run ~pool ~pass_cache disp_job in
+            match Scheduler.complete_dispatch t disp_id result with
+            | Some c -> loop (c :: acc)
+            | None -> Alcotest.fail "dispatched job was not settled")
+        in
+        loop [])
+  in
+  (match List.map (fun (c : Scheduler.completion) -> c.Scheduler.outcome) by_hand with
+  | [
+   Scheduler.Done { cached = false; wall_ms = 3.; _ };
+   Scheduler.Done { cached = true; wall_ms = 0.; _ };
+   Scheduler.Expired _;
+   Scheduler.Failed _;
+  ] ->
+    ()
+  | _ -> Alcotest.fail "expected fresh, cached, expired and failed, in order");
+  checkb "equal completion records" true (in_process = by_hand)
+
 (* --- the worker pool, end to end --- *)
 
 (* the test binary runs in _build/default/test; the CLI is a declared
@@ -474,6 +529,8 @@ let suite =
     Alcotest.test_case "orphaned cache tmps swept at open" `Quick
       orphan_tmps_swept_at_open;
     Alcotest.test_case "out-of-process dispatch API" `Quick dispatch_api;
+    Alcotest.test_case "dispatch matches in-process" `Quick
+      dispatch_matches_in_process;
     Alcotest.test_case "worker pool executes and dedups" `Slow
       worker_pool_executes;
     Alcotest.test_case "worker death requeues in-flight job" `Slow

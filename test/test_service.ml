@@ -1037,6 +1037,126 @@ let health_and_metrics_ops () =
              samples)
       | _ -> Alcotest.fail "one metrics event expected")
 
+(* --- integer members outside the int range --- *)
+
+(* an integer member beyond the int range is ill-typed: wrapped, 1e19
+   and 1e300 both read as 0, naming job 0 or running seed 0 *)
+let out_of_range_ints_rejected () =
+  let bound = Float.ldexp 1. 62 in
+  checkb "2^62 is out of range" true (Json.to_int (Json.Num bound) = None);
+  checkb "-2^62 is min_int" true
+    (Json.to_int (Json.Num (-.bound)) = Some min_int);
+  checkb "1e18 reads exactly" true
+    (Json.to_int (Json.Num 1e18) = Some 1_000_000_000_000_000_000);
+  let config = { Scheduler.default_config with clock = Scheduler.Virtual } in
+  Scheduler.with_scheduler ~config (fun t ->
+      let one line =
+        match Server.handle t line with
+        | [ e ] -> e
+        | es -> Alcotest.failf "expected one event, got %d" (List.length es)
+      in
+      let message e =
+        match Json.member "error" e with
+        | Some err ->
+          Option.value ~default:""
+            (Option.bind (Json.member "message" err) Json.to_str)
+        | None -> ""
+      in
+      check_str "job 0 accepted" "accepted"
+        (str_member "event"
+           (one
+              (line_of
+                 (Json.Obj
+                    [
+                      ("op", Json.Str "submit");
+                      ("job", Job.to_json (Job.fault ~trials:20 "INV"));
+                    ]))));
+      List.iter
+        (fun line ->
+          let e = one line in
+          check_str (line ^ ": error event") "error" (str_member "event" e);
+          checkb (line ^ ": names the id") true (contains ~sub:"id" (message e)))
+        [
+          {|{"op":"cancel","id":1e19}|};
+          {|{"op":"cancel","id":-1e19}|};
+          {|{"op":"status","id":1e300}|};
+        ];
+      checkb "job 0 stays queued" true
+        (Scheduler.state t 0 = Ok Scheduler.Queued);
+      List.iter
+        (fun (member, job) ->
+          let e = one (Printf.sprintf {|{"op":"submit","job":%s}|} job) in
+          check_str (member ^ ": rejected") "rejected" (str_member "event" e);
+          checkb (member ^ ": named in the diagnostic") true
+            (contains ~sub:member (message e)))
+        [
+          ("seed", {|{"kind":"fault","cell":"NAND2","seed":1e300}|});
+          ("trials", {|{"kind":"testgen","cell":"NAND2","trials":1e19}|});
+          ("loads", {|{"kind":"characterize","cell":"INV","loads":[1e300]}|});
+        ];
+      check_int "only job 0 admitted" 1 (Scheduler.stats t).Scheduler.queued)
+
+(* --- the socket path belongs to the server only if it is a socket --- *)
+
+let socket_path_not_clobbered () =
+  let path = tmp_sock_path "precious" in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc "keep me");
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Scheduler.with_scheduler (fun t ->
+      let refused = ref None in
+      let server =
+        Thread.create
+          (fun () ->
+            refused :=
+              Some
+                (match Server.serve_socket t ~path with
+                | _ -> None
+                | exception Core.Diag.Failure d -> Some d))
+          ()
+      in
+      (* a server that took the path waits for a client: give it one, so
+         the regression fails instead of hanging *)
+      let rec wait n =
+        if !refused = None && n > 0 then begin
+          Thread.delay 0.05;
+          wait (n - 1)
+        end
+      in
+      wait 100;
+      if !refused = None then Unix.close (connect_retry path);
+      Thread.join server;
+      match !refused with
+      | Some (Some d) ->
+        checkb "diagnostic names the path" true
+          (List.assoc_opt "path" d.Core.Diag.context = Some path)
+      | _ -> Alcotest.fail "serve_socket replaced a regular file");
+  check_str "library call left the file alone" "keep me"
+    (In_channel.with_open_bin path In_channel.input_all);
+  (* the CLI maps the refusal to exit 2 *)
+  let status =
+    Sys.command
+      (Filename.quote_command "../bin/cnfet_dk.exe" ~stderr:"/dev/null"
+         [ "serve"; "--socket"; path ])
+  in
+  check_int "cnfet_dk serve exits 2" 2 status;
+  check_str "CLI left the file alone" "keep me"
+    (In_channel.with_open_bin path In_channel.input_all)
+
+(* a socket left behind by a dead server is stale and is replaced *)
+let stale_socket_replaced () =
+  let path = tmp_sock_path "stale" in
+  let old = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind old (Unix.ADDR_UNIX path);
+  Unix.close old;
+  Scheduler.with_scheduler (fun t ->
+      let server = Thread.create (fun () -> Server.serve_socket t ~path) () in
+      let sock = connect_retry path in
+      Unix.close sock;
+      Thread.join server;
+      checkb "socket file removed at exit" false (Sys.file_exists path))
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick json_roundtrip;
@@ -1081,4 +1201,9 @@ let suite =
     Alcotest.test_case "generated trace ids deterministic" `Quick
       generated_trace_ids_deterministic;
     Alcotest.test_case "health and metrics ops" `Quick health_and_metrics_ops;
+    Alcotest.test_case "out-of-range integers rejected" `Quick
+      out_of_range_ints_rejected;
+    Alcotest.test_case "socket path not clobbered" `Quick
+      socket_path_not_clobbered;
+    Alcotest.test_case "stale socket replaced" `Quick stale_socket_replaced;
   ]
