@@ -25,7 +25,7 @@ let deck ~title net =
            m.Device.Model.name pol
            (m.Device.Model.c_gate *. 1e15)
            (m.Device.Model.c_drain *. 1e15)
-           (m.Device.Model.i_d ~vgs:1.0 ~vds:1.0 *. 1e6)))
+           (Device.Model.i_d m ~vgs:1.0 ~vds:1.0 *. 1e6)))
     (Netlist.devices net);
   (* total node capacitances *)
   for n = 1 to Netlist.node_count net - 1 do

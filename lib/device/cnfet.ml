@@ -127,7 +127,16 @@ let make t ?name ~polarity ~tubes ~width_nm () =
   {
     Model.name;
     polarity;
-    i_d = (fun ~vgs ~vds -> nf *. i_tube k ~sat ~vgs ~vds);
+    law =
+      {
+        Model.pre = sat;
+        post = nf;
+        vt = k.vt;
+        phi = k.phi;
+        full = k.full;
+        alpha = t.alpha;
+        v_crit = t.v_crit;
+      };
     c_gate = gate_cap_af t ~tubes ~width_nm *. af;
     c_drain =
       ((t.c_drain_af *. Float.max 0.1 (width_nm /. t.ref_width_nm))

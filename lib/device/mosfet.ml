@@ -27,24 +27,25 @@ let default_tech =
     l_nm = 65.;
   }
 
-(* smooth softplus overdrive keeps the drive continuous and monotone
-   through the threshold (see Device.Cnfet) *)
-let i_d t ~k ~width_nm ~vgs ~vds =
-  if vds <= 0. then 0.
-  else begin
-    let phi = t.ss_mv_dec /. 1000. /. log 10. in
-    let soft ov = phi *. log (1. +. exp (ov /. phi)) in
-    let drive = (soft (vgs -. t.vt) /. soft (t.vdd -. t.vt)) ** t.alpha in
-    let knee = tanh (vds /. t.v_crit) in
-    k *. (width_nm *. 1e-9) *. drive *. knee
-  end
-
-let on_current t ~polarity ~width_nm =
+(* The device's I–V law: the softplus smoothing voltage and the
+   full-drive overdrive depend only on the technology, and k * width only
+   on the device, so they are computed once here.  [post = 1.0]
+   multiplies exactly, so every current keeps the bits of
+   ((k * w) * drive) * knee. *)
+let law t ~polarity ~width_nm =
   let k = match polarity with Model.Nfet -> t.k_n | Model.Pfet -> t.k_p in
-  i_d t ~k ~width_nm ~vgs:t.vdd ~vds:t.vdd
+  let phi = t.ss_mv_dec /. 1000. /. log 10. in
+  {
+    Model.pre = k *. (width_nm *. 1e-9);
+    post = 1.0;
+    vt = t.vt;
+    phi;
+    full = phi *. log (1. +. exp ((t.vdd -. t.vt) /. phi));
+    alpha = t.alpha;
+    v_crit = t.v_crit;
+  }
 
 let make t ?name ~polarity ~width_nm () =
-  let k = match polarity with Model.Nfet -> t.k_n | Model.Pfet -> t.k_p in
   let name =
     match name with
     | Some n -> n
@@ -57,7 +58,10 @@ let make t ?name ~polarity ~width_nm () =
   {
     Model.name;
     polarity;
-    i_d = (fun ~vgs ~vds -> i_d t ~k ~width_nm ~vgs ~vds);
+    law = law t ~polarity ~width_nm;
     c_gate = t.c_gate_per_m *. w_m;
     c_drain = t.c_drain_per_m *. w_m;
   }
+
+let on_current t ~polarity ~width_nm =
+  Model.i_d (make t ~polarity ~width_nm ()) ~vgs:t.vdd ~vds:t.vdd

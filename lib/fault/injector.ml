@@ -51,10 +51,13 @@ let trial_strays config ~pun ~pdn index =
   let rng = Parallel.Split_rng.state ~seed:config.seed ~stream:index in
   let spray p =
     let bbox = (Crossing.fabric p).Layout.Fabric.bbox in
+    (* List.init calls in index order, so the tracks draw from [rng] in
+       sampling order; the crossing query draws nothing *)
     List.init config.tracks_per_trial (fun _ ->
-        Track.sample rng ~bbox ~max_angle_deg:config.max_angle_deg
-          ~margin:config.margin)
-    |> List.map (fun (t : Track.t) -> Crossing.edges_prepared p t.Track.seg)
+        (Track.sample rng ~bbox ~max_angle_deg:config.max_angle_deg
+           ~margin:config.margin)
+          .Track.seg
+        |> Crossing.edges_prepared p)
   in
   let pun_tracks = spray pun in
   let pdn_tracks = spray pdn in
@@ -62,22 +65,20 @@ let trial_strays config ~pun ~pdn index =
 
 let run_trial config ~prep ~pun ~pdn index =
   let pun_tracks, pdn_tracks = trial_strays config ~pun ~pdn index in
-  let pun_extra = List.concat pun_tracks in
-  let pdn_extra = List.concat pdn_tracks in
-  let drives = Layout.Cell.drives_of_prepared prep ~pun_extra ~pdn_extra in
-  let got =
-    Logic.Truth.of_column
-      ~inputs:(Layout.Cell.prepared_inputs prep)
-      (Array.map Logic.Switch_graph.value_of_drive drives)
-  in
-  let failed =
-    not (Logic.Truth.equal got (Layout.Cell.prepared_reference prep))
-  in
-  let fight = Array.exists (fun d -> d = Logic.Switch_graph.Fight) drives in
-  let floating =
-    Array.exists (fun d -> d = Logic.Switch_graph.Floating) drives
-  in
-  (failed, fight, floating, List.length pun_extra + List.length pdn_extra)
+  let drives = Layout.Cell.drives_of_prepared prep ~pun_tracks ~pdn_tracks in
+  let reference = Layout.Cell.prepared_reference prep in
+  let failed = ref false and fight = ref false and floating = ref false in
+  Array.iteri
+    (fun row d ->
+      if Logic.Switch_graph.value_of_drive d <> Logic.Truth.value reference row
+      then failed := true;
+      match d with
+      | Logic.Switch_graph.Fight -> fight := true
+      | Logic.Switch_graph.Floating -> floating := true
+      | Logic.Switch_graph.High | Logic.Switch_graph.Low -> ())
+    drives;
+  let edges tracks = List.fold_left (fun n g -> n + List.length g) 0 tracks in
+  (!failed, !fight, !floating, edges pun_tracks + edges pdn_tracks)
 
 let style_slug = function
   | Layout.Cell.Immune_new -> "immune_new"
@@ -188,10 +189,10 @@ let horizontal_sweep (cell : Layout.Cell.t) =
     List.filter_map
       (fun y ->
         let extra = Crossing.edges_prepared p (track_at f y).Track.seg in
-        let pun_extra, pdn_extra =
-          match which with `Pun -> (extra, []) | `Pdn -> ([], extra)
+        let pun_tracks, pdn_tracks =
+          match which with `Pun -> ([ extra ], []) | `Pdn -> ([], [ extra ])
         in
-        let got = Layout.Cell.truth_of_prepared prep ~pun_extra ~pdn_extra in
+        let got = Layout.Cell.truth_of_prepared prep ~pun_tracks ~pdn_tracks in
         if not (Logic.Truth.equal got reference) then Some y else None)
       (corridor_ys f)
   in

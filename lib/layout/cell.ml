@@ -156,31 +156,33 @@ let prepare t =
 let prepared_reference p = p.reference
 let prepared_inputs p = p.inputs
 
-let graph_of_prepared p ~pun_extra ~pdn_extra =
+let graph_of_prepared p ~pun_tracks ~pdn_tracks =
   let graph = Logic.Switch_graph.create () in
   List.iter (Logic.Switch_graph.add_edge graph) p.base_edges;
-  List.iter (fun e -> Logic.Switch_graph.add_edge graph e) pun_extra;
+  List.iter (List.iter (Logic.Switch_graph.add_edge graph)) pun_tracks;
   List.iter
-    (fun e ->
-      Logic.Switch_graph.add_edge graph (offset_edge pdn_internal_offset e))
-    pdn_extra;
+    (List.iter (fun e ->
+         Logic.Switch_graph.add_edge graph (offset_edge pdn_internal_offset e)))
+    pdn_tracks;
   graph
 
-let truth_of_prepared p ~pun_extra ~pdn_extra =
+let truth_of_prepared p ~pun_tracks ~pdn_tracks =
   Logic.Switch_graph.truth_table
-    (graph_of_prepared p ~pun_extra ~pdn_extra)
+    (graph_of_prepared p ~pun_tracks ~pdn_tracks)
     ~inputs:p.inputs
 
-let drives_of_prepared p ~pun_extra ~pdn_extra =
+let drives_of_prepared p ~pun_tracks ~pdn_tracks =
   Logic.Switch_graph.drive_table
-    (graph_of_prepared p ~pun_extra ~pdn_extra)
+    (graph_of_prepared p ~pun_tracks ~pdn_tracks)
     ~inputs:p.inputs
 
 let graph_with t ~pun_extra ~pdn_extra =
-  graph_of_prepared (prepare t) ~pun_extra ~pdn_extra
+  graph_of_prepared (prepare t) ~pun_tracks:[ pun_extra ]
+    ~pdn_tracks:[ pdn_extra ]
 
 let truth_with t ~pun_extra ~pdn_extra =
-  truth_of_prepared (prepare t) ~pun_extra ~pdn_extra
+  truth_of_prepared (prepare t) ~pun_tracks:[ pun_extra ]
+    ~pdn_tracks:[ pdn_extra ]
 
 let check_function t =
   if Logic.Truth.equal (truth_with t ~pun_extra:[] ~pdn_extra:[]) (reference_truth t)

@@ -78,13 +78,18 @@ val prepared_reference : prepared -> Logic.Truth.t
 val prepared_inputs : prepared -> string list
 (** Input names of the cell, in {!Logic.Truth} row order. *)
 
-val truth_of_prepared : prepared -> pun_extra:Logic.Switch_graph.edge list
-  -> pdn_extra:Logic.Switch_graph.edge list -> Logic.Truth.t
-(** {!truth_with} against the cached nominal edges: equal output for equal
-    input, without rebuilding the row graphs. *)
+val truth_of_prepared : prepared
+  -> pun_tracks:Logic.Switch_graph.edge list list
+  -> pdn_tracks:Logic.Switch_graph.edge list list -> Logic.Truth.t
+(** {!truth_with} against the cached nominal edges, with the extra edges
+    of each region given in groups (one per stray track, as the fault
+    injector samples them): equal output to {!truth_with} on the
+    concatenated groups, without rebuilding the row graphs or
+    concatenating the groups. *)
 
-val drives_of_prepared : prepared -> pun_extra:Logic.Switch_graph.edge list
-  -> pdn_extra:Logic.Switch_graph.edge list
+val drives_of_prepared : prepared
+  -> pun_tracks:Logic.Switch_graph.edge list list
+  -> pdn_tracks:Logic.Switch_graph.edge list list
   -> Logic.Switch_graph.drive array
 (** {!Logic.Switch_graph.drive_table} of the corrupted graph over
     {!prepared_inputs} — like {!truth_of_prepared} but keeping rail fights

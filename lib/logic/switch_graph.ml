@@ -49,51 +49,127 @@ and all_devices parts =
   in
   go [] parts
 
-let edge_conducts env e =
-  let on g =
-    match e.polarity with
-    | Network.N_type -> env g
-    | Network.P_type -> not (env g)
-  in
-  List.for_all on e.gates
-
-let conducting_between t env a b =
-  if a = b then true
-  else begin
-    (* BFS over conducting edges *)
-    let live = List.filter (edge_conducts env) t.edges in
-    let visited = Hashtbl.create 16 in
-    let rec bfs = function
-      | [] -> false
-      | n :: rest ->
-        if n = b then true
-        else if Hashtbl.mem visited n then bfs rest
-        else begin
-          Hashtbl.add visited n ();
-          let next =
-            List.filter_map
-              (fun e ->
-                if e.src = n then Some e.dst
-                else if e.dst = n then Some e.src
-                else None)
-              live
-          in
-          bfs (next @ rest)
-        end
-    in
-    bfs [ a ]
-  end
-
 type drive = High | Low | Fight | Floating
 
-let output_drive t env =
-  let to_vdd = conducting_between t env Out Vdd
-  and to_gnd = conducting_between t env Out Gnd in
-  match (to_vdd, to_gnd) with
+(* Evaluation runs on a compiled form of the edges: nodes renumbered
+   densely (Vdd 0, Gnd 1, Out 2, internal nodes from 3), and each edge
+   reduced to its two end ids plus two bitmasks over the input list, the
+   inputs that must be 1 (n-type gates) and those that must be 0 (p-type
+   gates).  An input row is then one union-find pass over the conducting
+   edges; every query below reads the resulting components. *)
+type compiled = {
+  nodes : int;
+  internal : (int, int) Hashtbl.t;  (* Internal i -> node id *)
+  src : int array;
+  dst : int array;
+  ones : int array;
+  zeros : int array;
+}
+
+let compile ~inputs edges =
+  let internal = Hashtbl.create 16 in
+  let id = function
+    | Vdd -> 0
+    | Gnd -> 1
+    | Out -> 2
+    | Internal i -> (
+      match Hashtbl.find_opt internal i with
+      | Some k -> k
+      | None ->
+        let k = 3 + Hashtbl.length internal in
+        Hashtbl.add internal i k;
+        k)
+  in
+  let bit name =
+    let rec go k = function
+      | [] ->
+        invalid_arg
+          (Printf.sprintf "Switch_graph: gate %s is not among the inputs" name)
+      | x :: rest -> if x = name then 1 lsl k else go (k + 1) rest
+    in
+    go 0 inputs
+  in
+  let m = List.length edges in
+  let src = Array.make m 0 and dst = Array.make m 0 in
+  let ones = Array.make m 0 and zeros = Array.make m 0 in
+  List.iteri
+    (fun k (e : edge) ->
+      src.(k) <- id e.src;
+      dst.(k) <- id e.dst;
+      let mask = List.fold_left (fun acc g -> acc lor bit g) 0 e.gates in
+      match e.polarity with
+      | Network.N_type -> ones.(k) <- mask
+      | Network.P_type -> zeros.(k) <- mask)
+    edges;
+  { nodes = 3 + Hashtbl.length internal; internal; src; dst; ones; zeros }
+
+(* path halving *)
+let rec find parent i =
+  let p = parent.(i) in
+  if p = i then i
+  else begin
+    let gp = parent.(p) in
+    parent.(i) <- gp;
+    find parent gp
+  end
+
+(* Merge the ends of every edge that conducts under [row] into one
+   component; [parent] is scratch of length [c.nodes]. *)
+let connect c parent row =
+  for i = 0 to c.nodes - 1 do
+    parent.(i) <- i
+  done;
+  for e = 0 to Array.length c.src - 1 do
+    let ones = c.ones.(e) in
+    if row land ones = ones && row land c.zeros.(e) = 0 then begin
+      let a = find parent c.src.(e) and b = find parent c.dst.(e) in
+      if a <> b then parent.(a) <- b
+    end
+  done
+
+let drive_of c parent row =
+  connect c parent row;
+  let out = find parent 2 in
+  match (find parent 0 = out, find parent 1 = out) with
   | true, false -> High
   | false, true -> Low
   | true, true -> Fight
   | false, false -> Floating
+
+(* [env] as a row over the graph's own gate names. *)
+let compile_env t env =
+  let gates =
+    List.sort_uniq compare (List.concat_map (fun (e : edge) -> e.gates) t.edges)
+  in
+  if List.length gates >= Sys.int_size then
+    invalid_arg "Switch_graph: too many distinct gates";
+  let c = compile ~inputs:gates t.edges in
+  let row, _ =
+    List.fold_left
+      (fun (row, k) g -> ((if env g then row lor (1 lsl k) else row), k + 1))
+      (0, 0) gates
+  in
+  (c, Array.make c.nodes 0, row)
+
+let conducting_between t env a b =
+  a = b
+  ||
+  let c, parent, row = compile_env t env in
+  let id = function
+    | Vdd -> Some 0
+    | Gnd -> Some 1
+    | Out -> Some 2
+    | Internal i -> Hashtbl.find_opt c.internal i
+  in
+  match (id a, id b) with
+  | Some a, Some b ->
+    connect c parent row;
+    find parent a = find parent b
+  | None, _ | _, None -> false
+
+let output_drive t env =
+  let c, parent, row = compile_env t env in
+  drive_of c parent row
 
 let value_of_drive = function
   | High -> Truth.T
@@ -109,20 +185,12 @@ let drive_string = function
 let drive_table t ~inputs =
   let n = List.length inputs in
   if n > 16 then invalid_arg "Switch_graph.drive_table: too many inputs";
-  let idx name =
-    let rec go k = function
-      | [] -> invalid_arg ("Switch_graph.drive_table: unknown input " ^ name)
-      | x :: rest -> if x = name then k else go (k + 1) rest
-    in
-    go 0 inputs
-  in
-  Array.init (1 lsl n) (fun i ->
-      output_drive t (fun name -> (i lsr idx name) land 1 = 1))
-
-let output_value t env = value_of_drive (output_drive t env)
+  let c = compile ~inputs t.edges in
+  let parent = Array.make c.nodes 0 in
+  Array.init (1 lsl n) (drive_of c parent)
 
 let truth_table t ~inputs =
-  Truth.of_fun ~inputs (fun env -> output_value t env)
+  Truth.of_column ~inputs (Array.map value_of_drive (drive_table t ~inputs))
 
 let implements t e =
   let inputs = Expr.inputs e in

@@ -297,8 +297,12 @@ let validate = function
 
 (* The cache key: a stable fingerprint of every field that affects the
    result.  Flow jobs reuse the pipeline's own source digests so the
-   service and a direct Flow.Pipeline run agree on input identity. *)
+   service and a direct Flow.Pipeline run agree on input identity.
+   Floats print as the JSON codec prints them, in the shortest form that
+   round-trips, so jobs that differ in any bit of a float field never
+   share a key (and a cached document). *)
 let digest t =
+  let num f = Json.to_string (Json.Num f) in
   let canonical =
     match t with
     | Flow j ->
@@ -310,22 +314,22 @@ let digest t =
         | Netlist_text text -> Flow.Pipeline.source_digest (`Text text)
         | Generated spec -> "generated:" ^ spec
       in
-      Printf.sprintf "flow:%s:%s:%g" src (scheme_string j.scheme) j.aspect
+      Printf.sprintf "flow:%s:%s:%s" src (scheme_string j.scheme) (num j.aspect)
     | Fault j ->
-      Printf.sprintf "fault:%s:%d:%s:%d:%d:%g:%d" j.cell j.drive
-        (style_string j.style) j.trials j.tracks_per_trial j.max_angle_deg
-        j.seed
+      Printf.sprintf "fault:%s:%d:%s:%d:%d:%s:%d" j.cell j.drive
+        (style_string j.style) j.trials j.tracks_per_trial
+        (num j.max_angle_deg) j.seed
     | Characterize j ->
       Printf.sprintf "characterize:%s:%d:%s" j.char_cell j.char_drive
         (String.concat "," (List.map string_of_int j.loads))
     | Testgen j ->
-      Printf.sprintf "testgen:%s:%d:%s:%s:%d:%d:%g:%d:%d:%g:%d" j.tg_cell
+      Printf.sprintf "testgen:%s:%d:%s:%s:%d:%d:%s:%d:%d:%s:%d" j.tg_cell
         j.tg_drive (style_string j.tg_style)
         (scheme_string j.tg_scheme)
-        j.tg_trials j.tg_tracks_per_trial j.tg_max_angle_deg j.tg_seed
-        j.tg_max_spares j.tg_p_good j.tg_max_extra_tubes
+        j.tg_trials j.tg_tracks_per_trial (num j.tg_max_angle_deg) j.tg_seed
+        j.tg_max_spares (num j.tg_p_good) j.tg_max_extra_tubes
     | Dse j ->
-      let floats xs = String.concat "," (List.map (Printf.sprintf "%g") xs) in
+      let floats xs = String.concat "," (List.map num xs) in
       let ints xs = String.concat "," (List.map string_of_int xs) in
       Printf.sprintf "dse:%s:%s:%s:%s:%s:%s:%s:%d:%d:%d:%b" j.dse_cell
         (style_string j.dse_style)

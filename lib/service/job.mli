@@ -140,7 +140,9 @@ val validate : t -> (unit, Core.Diag.t) result
 
 val digest : t -> string
 (** Stable hex fingerprint of the full description; the result-cache
-    key.  Flow jobs incorporate {!Flow.Pipeline.source_digest} of their
+    key.  Float fields enter exactly (in {!Json.to_string}'s shortest
+    round-trip form), so jobs differing in any field get different keys.
+    Flow jobs incorporate {!Flow.Pipeline.source_digest} of their
     resolved source, so the key agrees with the pipeline's own notion of
     input identity. *)
 

@@ -77,9 +77,7 @@ let run ?pool ?(domains = 1) config (cell : Layout.Cell.t) =
         Fault.Injector.trial_strays config.fault ~pun ~pdn i
       in
       let drives =
-        Layout.Cell.drives_of_prepared prep
-          ~pun_extra:(List.concat pun_tracks)
-          ~pdn_extra:(List.concat pdn_tracks)
+        Layout.Cell.drives_of_prepared prep ~pun_tracks ~pdn_tracks
       in
       match Dictionary.classify ~reference drives with
       | [] -> hist.(0) <- hist.(0) + 1

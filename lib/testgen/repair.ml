@@ -32,9 +32,8 @@ let min_repair_cost ~prep ~pun_tracks ~pdn_tracks =
           | `Pdn -> pdn_extra := edges :: !pdn_extra)
       groups;
     let got =
-      Layout.Cell.truth_of_prepared prep
-        ~pun_extra:(List.concat !pun_extra)
-        ~pdn_extra:(List.concat !pdn_extra)
+      Layout.Cell.truth_of_prepared prep ~pun_tracks:!pun_extra
+        ~pdn_tracks:!pdn_extra
     in
     Logic.Truth.equal got reference
   in

@@ -42,9 +42,9 @@ let cnfet_iv_monotone =
         Device.Cnfet.make tech ~polarity:Device.Model.Nfet ~tubes:4
           ~width_nm:130. ()
       in
-      let i = d.Device.Model.i_d ~vgs ~vds in
-      let i_vg = d.Device.Model.i_d ~vgs:(vgs +. 0.05) ~vds in
-      let i_vd = d.Device.Model.i_d ~vgs ~vds:(vds +. 0.05) in
+      let i = Device.Model.i_d d ~vgs ~vds in
+      let i_vg = Device.Model.i_d d ~vgs:(vgs +. 0.05) ~vds in
+      let i_vd = Device.Model.i_d d ~vgs ~vds:(vds +. 0.05) in
       i >= 0. && i_vg >= i -. 1e-15 && i_vd >= i -. 1e-15)
 
 let cnfet_zero_vds () =
@@ -52,7 +52,7 @@ let cnfet_zero_vds () =
     Device.Cnfet.make tech ~polarity:Device.Model.Nfet ~tubes:2 ~width_nm:130. ()
   in
   Alcotest.(check (float 1e-18)) "no current at vds=0" 0.
-    (d.Device.Model.i_d ~vgs:1. ~vds:0.)
+    (Device.Model.i_d d ~vgs:1. ~vds:0.)
 
 let cnfet_tube_scaling () =
   (* at fixed (large) pitch, current scales with the tube count *)
@@ -92,7 +92,7 @@ let mosfet_basics () =
     (i_n /. i_p);
   let d = Device.Mosfet.make mos ~polarity:Device.Model.Nfet ~width_nm:130. () in
   checkb "subthreshold leaks less" true
-    (d.Device.Model.i_d ~vgs:0.05 ~vds:1. < 0.01 *. d.Device.Model.i_d ~vgs:1. ~vds:1.);
+    (Device.Model.i_d d ~vgs:0.05 ~vds:1. < 0.01 *. Device.Model.i_d d ~vgs:1. ~vds:1.);
   checkb "width scales current" true
     (Device.Mosfet.on_current mos ~polarity:Device.Model.Nfet ~width_nm:260.
     > 1.9 *. i_n)
@@ -111,6 +111,54 @@ let model_current_signs () =
   checkb "pfet off when gate high" true
     (Float.abs (Device.Model.current p ~vg:1. ~vd:0. ~vs:1.)
     < 0.01 *. Float.abs (Device.Model.current p ~vg:0. ~vd:0. ~vs:1.))
+
+(* The batch kernel unrolls [current] and [i_d] into one loop: on random
+   CNFETs and MOSFETs of either polarity wired between random nodes
+   (shared terminals and vd = vs included), it must accumulate exactly
+   the bits a fold of [current] does. *)
+let kernel_matches_current =
+  let open QCheck.Gen in
+  let device =
+    let* polarity = oneofl Device.Model.[ Nfet; Pfet ] in
+    let* model =
+      oneof
+        [
+          (let* tubes = int_range 1 40 in
+           let* width_nm = float_range 20. 400. in
+           return (Device.Cnfet.make tech ~polarity ~tubes ~width_nm ()));
+          (let* width_nm = float_range 50. 600. in
+           return (Device.Mosfet.make mos ~polarity ~width_nm ()));
+        ]
+    in
+    let* g = int_bound 4 and* d = int_bound 4 and* s = int_bound 4 in
+    return (model, g, d, s)
+  in
+  let volt = oneof [ float_range (-0.5) 2.; oneofl [ 0.; 0.5; 1. ] ] in
+  let gen = pair (list_size (int_range 1 6) device) (array_repeat 5 volt) in
+  QCheck.Test.make ~name:"batch kernel bit-identical to Model.current"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (devs, v) ->
+         Printf.sprintf "%s | v = %s"
+           (String.concat "; "
+              (List.map
+                 (fun ((m : Device.Model.t), g, d, s) ->
+                   Printf.sprintf "%s g%d d%d s%d" m.Device.Model.name g d s)
+                 devs))
+           (String.concat " " (Array.to_list (Array.map string_of_float v))))
+       gen)
+    (fun (devs, v) ->
+      let got = Array.make 5 0. and want = Array.make 5 0. in
+      Device.Model.add_currents (Device.Model.kernel devs) v got;
+      List.iter
+        (fun (m, g, d, s) ->
+          let i = Device.Model.current m ~vg:v.(g) ~vd:v.(d) ~vs:v.(s) in
+          want.(d) <- want.(d) +. i;
+          want.(s) <- want.(s) -. i)
+        devs;
+      Array.for_all2
+        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+        got want)
 
 let fitted_anchor_tube_current () =
   (* on-current of one unscreened tube is the fitted i_tube_sat *)
@@ -139,4 +187,5 @@ let suite =
     Alcotest.test_case "fitted tube current anchor" `Quick
       fitted_anchor_tube_current;
     QCheck_alcotest.to_alcotest cnfet_iv_monotone;
+    QCheck_alcotest.to_alcotest kernel_matches_current;
   ]

@@ -213,6 +213,98 @@ let switch_graph_floating_gives_x () =
   let tt = Logic.Switch_graph.truth_table g ~inputs:[ "A" ] in
   checkb "A=1 floats" true (Logic.Truth.value tt 1 = Logic.Truth.X)
 
+(* Random switch graphs against the BFS oracle: 0-4 inputs, 0-8 edges
+   among Vdd, Gnd, Out and internal nodes (self-loops and parallel edges
+   arise freely), each gated by 0-3 of the inputs (repeats allowed) of
+   either polarity, plus one input row to evaluate the [env] entry
+   points at. *)
+let switch_graph_case =
+  let open QCheck.Gen in
+  let gen =
+    let* n_inputs = int_range 0 4 in
+    let inputs = List.filteri (fun k _ -> k < n_inputs) [ "A"; "B"; "C"; "D" ] in
+    let node =
+      oneofl
+        Logic.Switch_graph.
+          [ Vdd; Gnd; Out; Internal 0; Internal 1; Internal 2; Internal 10_000 ]
+    in
+    let edge =
+      let* src = node in
+      let* dst = node in
+      let* gates =
+        if inputs = [] then return [] else list_size (int_range 0 3) (oneofl inputs)
+      in
+      let* polarity = oneofl Logic.Network.[ N_type; P_type ] in
+      return { Logic.Switch_graph.src; dst; gates; polarity }
+    in
+    let* edges = list_size (int_range 0 8) edge in
+    let* row = int_bound ((1 lsl n_inputs) - 1) in
+    return (inputs, edges, row)
+  in
+  let node_string = function
+    | Logic.Switch_graph.Vdd -> "Vdd"
+    | Gnd -> "Gnd"
+    | Out -> "Out"
+    | Internal i -> Printf.sprintf "n%d" i
+  in
+  let print (inputs, edges, row) =
+    Printf.sprintf "inputs [%s], row %d, edges %s" (String.concat " " inputs) row
+      (String.concat "; "
+         (List.map
+            (fun (e : Logic.Switch_graph.edge) ->
+              Printf.sprintf "%s-%s %s[%s]" (node_string e.src)
+                (node_string e.dst)
+                (match e.polarity with
+                | Logic.Network.N_type -> "n"
+                | Logic.Network.P_type -> "p")
+                (String.concat " " e.gates))
+            edges))
+  in
+  QCheck.make ~print gen
+
+let switch_graph_matches_bfs_oracle =
+  QCheck.Test.make ~name:"switch graph union-find matches the BFS oracle"
+    ~count:1000 switch_graph_case (fun (inputs, edges, row) ->
+      let g = Logic.Switch_graph.create () in
+      List.iter (Logic.Switch_graph.add_edge g) edges;
+      let env = Switch_graph_oracle.env_of_row inputs row in
+      let nodes =
+        Logic.Switch_graph.[ Vdd; Gnd; Out; Internal 0; Internal 1; Internal 7 ]
+      in
+      Logic.Switch_graph.drive_table g ~inputs
+      = Switch_graph_oracle.drive_table g ~inputs
+      && Logic.Truth.equal
+           (Logic.Switch_graph.truth_table g ~inputs)
+           (Switch_graph_oracle.truth_table g ~inputs)
+      && Logic.Switch_graph.output_drive g env
+         = Switch_graph_oracle.output_drive g env
+      && List.for_all
+           (fun a ->
+             List.for_all
+               (fun b ->
+                 Logic.Switch_graph.conducting_between g env a b
+                 = Switch_graph_oracle.conducting_between g env a b)
+               nodes)
+           nodes)
+
+(* A gate outside [inputs] is a malformed graph, refused before any row
+   is evaluated — even when no row could ever reach the edge. *)
+let switch_graph_unknown_gate () =
+  let g = Logic.Switch_graph.create () in
+  Logic.Switch_graph.add_edge g
+    { Logic.Switch_graph.src = Logic.Switch_graph.Internal 3;
+      dst = Logic.Switch_graph.Internal 4; gates = [ "A"; "Z" ];
+      polarity = Logic.Network.N_type };
+  let refused = Invalid_argument "Switch_graph: gate Z is not among the inputs" in
+  Alcotest.check_raises "drive_table" refused (fun () ->
+      ignore (Logic.Switch_graph.drive_table g ~inputs:[ "A" ]));
+  Alcotest.check_raises "truth_table" refused (fun () ->
+      ignore (Logic.Switch_graph.truth_table g ~inputs:[ "A" ]));
+  (* the env entry points evaluate the graph's own gates: nothing to refuse *)
+  checkb "output_drive floats" true
+    (Logic.Switch_graph.output_drive g (fun _ -> true)
+    = Logic.Switch_graph.Floating)
+
 let cell_fun_catalog () =
   check_int "catalog size" 18 (List.length Logic.Cell_fun.all);
   let nand3 = Logic.Cell_fun.find "nand3" in
@@ -292,6 +384,8 @@ let suite =
     Alcotest.test_case "switch graph short -> X" `Quick switch_graph_short_gives_x;
     Alcotest.test_case "switch graph float -> X" `Quick
       switch_graph_floating_gives_x;
+    Alcotest.test_case "switch graph unknown gate" `Quick
+      switch_graph_unknown_gate;
     Alcotest.test_case "cell catalog" `Quick cell_fun_catalog;
     Alcotest.test_case "xor2/mux2 complemented pins" `Quick
       complemented_pin_cells;
@@ -300,4 +394,5 @@ let suite =
     QCheck_alcotest.to_alcotest network_dual_involution;
     QCheck_alcotest.to_alcotest network_conduction_matches_expr;
     QCheck_alcotest.to_alcotest pun_pdn_complementary;
+    QCheck_alcotest.to_alcotest switch_graph_matches_bfs_oracle;
   ]

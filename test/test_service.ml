@@ -195,6 +195,32 @@ let job_validate_and_digest () =
   checkb "testgen and fault digests differ" true
     (t1 <> Job.digest (Job.fault ~style:Layout.Cell.Vulnerable "NAND2"))
 
+(* Digest floats enter exactly: jobs past the sixth significant digit of
+   a float field get their own keys, while floats of six digits or fewer
+   keep the keys they always had. *)
+let digest_floats_exact () =
+  let parse s =
+    match Job.of_json (Result.get_ok (Json.of_string s)) with
+    | Ok j -> Job.digest j
+    | Error d -> Alcotest.failf "%s: %s" s (Core.Diag.to_string d)
+  in
+  let testgen p =
+    parse (Printf.sprintf {|{"kind":"testgen","cell":"NAND2","p_good":%s}|} p)
+  in
+  check_str "p_good 0.9 keeps its key"
+    "testgen-2c274565779421c837d1f839826c373c" (testgen "0.9");
+  List.iter
+    (fun (label, a, b) -> checkb label true (a <> b))
+    [
+      ("testgen p_good", testgen "0.9", testgen "0.9000004");
+      ( "fault max_angle_deg",
+        Job.digest (Job.fault ~max_angle_deg:8. "NAND2"),
+        Job.digest (Job.fault ~max_angle_deg:8.0000001 "NAND2") );
+      ( "dse pitch axis",
+        Job.digest (Job.dse ~pitches:[ 4.; 5. ] "NAND2"),
+        Job.digest (Job.dse ~pitches:[ 4.; 5.0000001 ] "NAND2") );
+    ]
+
 (* max_angle_deg must be a finite angle in [0, 90]: a JSON 1e999 parses to
    infinity, and an infinite angle sprays NaN tracks that cross nothing.
    The digests and documents of in-range jobs were pinned before the
@@ -1170,6 +1196,7 @@ let suite =
     Alcotest.test_case "job codec rejects" `Quick job_codec_rejects;
     Alcotest.test_case "job validate and digest" `Quick
       job_validate_and_digest;
+    Alcotest.test_case "digest floats exact" `Quick digest_floats_exact;
     Alcotest.test_case "job angle range" `Quick job_angle_range;
     Alcotest.test_case "replay invariant across domains" `Slow
       replay_domain_invariance;

@@ -70,13 +70,13 @@ let factory_polarity () =
   let n = f ~polarity:Device.Model.Nfet ~width_lambda:3 ~name:"n" in
   let p = f ~polarity:Device.Model.Pfet ~width_lambda:3 ~name:"p" in
   checkb "CNFET n = p drive" true
-    (n.Device.Model.i_d ~vgs:1. ~vds:1. = p.Device.Model.i_d ~vgs:1. ~vds:1.);
+    (Device.Model.i_d n ~vgs:1. ~vds:1. = Device.Model.i_d p ~vgs:1. ~vds:1.);
   let fm = Stdcell.Library.factory cm_lib in
   let nm = fm ~polarity:Device.Model.Nfet ~width_lambda:3 ~name:"n" in
   let pm = fm ~polarity:Device.Model.Pfet ~width_lambda:3 ~name:"p" in
   (* CMOS pMOS is drawn 1.4x wider but its k is 2x weaker *)
   checkb "CMOS p weaker than n" true
-    (pm.Device.Model.i_d ~vgs:1. ~vds:1. < nm.Device.Model.i_d ~vgs:1. ~vds:1.)
+    (Device.Model.i_d pm ~vgs:1. ~vds:1. < Device.Model.i_d nm ~vgs:1. ~vds:1.)
 
 let sensitize_nand2 () =
   let fn = Logic.Cell_fun.nand 2 in
@@ -371,6 +371,93 @@ let characterize_hex_golden () =
         (characterize_hex ~cell ~pitch_nm ~drive))
     characterize_hex_golden_table
 
+(* The same %h pin on the MOSFET law: the CMOS NAND2 X1 arcs at load 2,
+   no sampler. *)
+let cmos_characterize_hex_golden () =
+  let lib = Stdcell.Library.cmos_exn ~drives:[ 1 ] () in
+  let entry = Stdcell.Library.find_exn lib ~name:"NAND2" ~drive:1 in
+  Alcotest.(check (list string))
+    "CMOS NAND2 X1 at load 2"
+    [
+      "A 0x1.86d2e0ad1a24p-36 0x1.fb0f6f1318f8p-37 0x1.422d4c1b535p-36 \
+       0x1.8e7707d4adef1p-50";
+      "B 0x1.611d9593385p-36 0x1.de6ba4c248f8p-37 0x1.2829b3fa2e66p-36 \
+       0x1.5fb534a86f5d3p-50";
+    ]
+    (List.map
+       (fun (a : Stdcell.Characterize.arc) ->
+         Printf.sprintf "%s %h %h %h %h" a.Stdcell.Characterize.input
+           a.Stdcell.Characterize.rise_delay_s
+           a.Stdcell.Characterize.fall_delay_s
+           a.Stdcell.Characterize.avg_delay_s
+           a.Stdcell.Characterize.energy_per_cycle_j)
+       (Stdcell.Characterize.all_arcs_exn ~lib entry ~load_inv1x:2))
+
+(* The netlist Characterize.arc simulates for one pin, rebuilt through the
+   public API so its transient steps can be counted. *)
+let arc_netlist ~lib (entry : Stdcell.Library.entry) ~input ~load_inv1x =
+  let period = 2e-9 in
+  let net = Circuit.Netlist.create () in
+  let source name w =
+    let node = Circuit.Netlist.node net name in
+    Circuit.Netlist.add_vsource net node w;
+    node
+  in
+  let vdd = source "vdd" (Circuit.Stimulus.dc 1.) in
+  let vdd_meas = source "vdd_meas" (Circuit.Stimulus.dc 1.) in
+  let out = Circuit.Netlist.node net "out" in
+  let in_node =
+    source "in"
+      (Circuit.Stimulus.pulse ~period ~rise:(period /. 100.) ~lo:0. ~hi:1.)
+  in
+  let sides =
+    List.map
+      (fun (n, v) ->
+        (n, source ("side_" ^ n) (Circuit.Stimulus.dc (if v then 1. else 0.))))
+      (Stdcell.Characterize.sensitize entry.Stdcell.Library.fn ~input)
+  in
+  let factory = Stdcell.Library.factory lib in
+  Stdcell.Gate_netlist.add_gate net factory ~fn:entry.Stdcell.Library.fn
+    ~drive:entry.Stdcell.Library.width_lambda_base ~prefix:"dut" ~out
+    ~inputs:((input, in_node) :: sides) ~vdd:vdd_meas;
+  for k = 1 to load_inv1x do
+    Stdcell.Gate_netlist.add_gate net factory ~fn:Logic.Cell_fun.inv
+      ~drive:Stdcell.Library.base_width_lambda
+      ~prefix:(Printf.sprintf "ld%d" k)
+      ~out:(Circuit.Netlist.node net (Printf.sprintf "load%d" k))
+      ~inputs:[ ("A", out) ] ~vdd
+  done;
+  ( net,
+    { Circuit.Transient.default_config with
+      Circuit.Transient.t_stop = 3. *. period },
+    [ in_node; out ] )
+
+(* The transient step allocates only the boxed floats it hands to the
+   source closures and the probe waveforms: about 15 words on this
+   netlist.  A device evaluation that boxed its current would add ~6
+   words per device per step. *)
+let characterize_allocation () =
+  let lib = Stdcell.Library.cnfet_exn ~drives:[ 1 ] () in
+  let entry = Stdcell.Library.find_exn lib ~name:"NAND2" ~drive:1 in
+  let load_inv1x = 2 in
+  let steps =
+    List.fold_left
+      (fun acc (a : Stdcell.Characterize.arc) ->
+        let net, config, probes =
+          arc_netlist ~lib entry ~input:a.Stdcell.Characterize.input
+            ~load_inv1x
+        in
+        acc + (Circuit.Transient.run ~config net ~probes).Circuit.Transient.steps)
+      0
+      (Stdcell.Characterize.all_arcs_exn ~lib entry ~load_inv1x)
+  in
+  let before = Gc.minor_words () in
+  ignore (Stdcell.Characterize.all_arcs_exn ~lib entry ~load_inv1x);
+  let per_step = (Gc.minor_words () -. before) /. float_of_int steps in
+  checkb
+    (Printf.sprintf "%.1f minor words per step <= 24" per_step)
+    true (per_step <= 24.)
+
 let cell_height_standardization () =
   let h = Stdcell.Library.cell_height_scheme1 cn_lib in
   checkb "tallest cell defines the row" true
@@ -405,6 +492,10 @@ let suite =
     Alcotest.test_case "liberty inverter golden" `Slow liberty_inverter_golden;
     Alcotest.test_case "characterize hex golden" `Slow
       characterize_hex_golden;
+    Alcotest.test_case "CMOS characterize hex golden" `Slow
+      cmos_characterize_hex_golden;
+    Alcotest.test_case "characterize allocation per step" `Slow
+      characterize_allocation;
     Alcotest.test_case "scheme-1 height standardization" `Quick
       cell_height_standardization;
   ]
