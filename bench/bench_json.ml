@@ -16,25 +16,28 @@ type entry = {
 let entry ?extras ~name ~wall_ms ~throughput () =
   { name; wall_ms; throughput; extras = Option.value extras ~default:[] }
 
-let json_float f = if Float.is_finite f then Printf.sprintf "%.3f" f else "null"
+(* Values are rounded to three decimals and printed by the JSON codec,
+   one entry per line so ledgers diff by row. *)
+let entry_json e =
+  let num f = Core.Json.Num (Float.round (f *. 1000.) /. 1000.) in
+  Core.Json.Obj
+    [
+      ("name", Core.Json.Str e.name);
+      ("wall_ms", num e.wall_ms);
+      ("throughput", num e.throughput);
+      ("extras", Core.Json.Obj (List.map (fun (k, v) -> (k, num v)) e.extras));
+    ]
 
 let write ~bench entries =
   let file = Printf.sprintf "BENCH_%s.json" bench in
   let oc = open_out file in
   output_string oc "[\n";
+  let last = List.length entries - 1 in
   List.iteri
     (fun i e ->
-      let extras =
-        String.concat ","
-          (List.map
-             (fun (k, v) -> Printf.sprintf "\"%s\":%s" k (json_float v))
-             e.extras)
-      in
-      Printf.fprintf oc
-        "  {\"name\":\"%s\",\"wall_ms\":%s,\"throughput\":%s,\"extras\":{%s}}%s\n"
-        e.name (json_float e.wall_ms)
-        (json_float e.throughput) extras
-        (if i = List.length entries - 1 then "" else ","))
+      output_string oc "  ";
+      output_string oc (Core.Json.to_string (entry_json e));
+      output_string oc (if i = last then "\n" else ",\n"))
     entries;
   output_string oc "]\n";
   close_out oc;

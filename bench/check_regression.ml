@@ -40,18 +40,18 @@ let read_file path =
 
 (* name -> throughput, in document order *)
 let entries_of path =
-  match Service.Json.of_string (read_file path) with
+  match Core.Json.of_string (read_file path) with
   | Error msg ->
     Printf.eprintf "check_regression: %s: invalid JSON: %s\n" path msg;
     exit 2
-  | Ok (Service.Json.Arr items) ->
+  | Ok (Core.Json.Arr items) ->
     List.filter_map
       (fun item ->
         match
-          ( Option.bind (Service.Json.member "name" item) Service.Json.to_str,
+          ( Option.bind (Core.Json.member "name" item) Core.Json.to_str,
             Option.bind
-              (Service.Json.member "throughput" item)
-              Service.Json.to_float )
+              (Core.Json.member "throughput" item)
+              Core.Json.to_float )
         with
         | Some name, Some thr when thr > 0. -> Some (name, thr)
         | _ -> None)

@@ -289,7 +289,7 @@ let test_gen_cmd =
       | exception Invalid_argument m -> prerr_endline ("cnfet_dk: " ^ m); 2
       | r ->
         if json then
-          print_endline (Service.Json.to_string (Service.Runner.testgen_json r))
+          print_endline (Core.Json.to_string (Service.Runner.testgen_json r))
         else print_string (Testgen.Report.to_text r);
         telemetry_finish telemetry trace_out;
         0
@@ -401,7 +401,7 @@ let dse_cmd =
           (match report with
           | `Text -> print_string (Dse.Report.text o)
           | `Json ->
-            print_endline (Service.Json.to_string (Service.Runner.dse_json o)));
+            print_endline (Core.Json.to_string (Service.Runner.dse_json o)));
           (match csv with
           | Some path ->
             let oc = open_out path in
@@ -992,9 +992,9 @@ let top_cmd =
           sum = Option.value ~default:0. (scalar "_sum");
         }
   in
-  let get obj name = Service.Json.member name obj in
+  let get obj name = Core.Json.member name obj in
   let num obj name =
-    Option.value ~default:0. (Option.bind (get obj name) Service.Json.to_float)
+    Option.value ~default:0. (Option.bind (get obj name) Core.Json.to_float)
   in
   let int_f obj name = int_of_float (num obj name) in
   let run path interval_ms iterations no_clear =
@@ -1011,10 +1011,12 @@ let top_cmd =
       let ic = Unix.in_channel_of_descr fd in
       let oc = Unix.out_channel_of_descr fd in
       let request op =
-        output_string oc (Printf.sprintf "{\"op\":%S}\n" op);
+        output_string oc
+          (Core.Json.to_string (Core.Json.Obj [ ("op", Core.Json.Str op) ]));
+        output_char oc '\n';
         flush oc;
         match input_line ic with
-        | line -> Service.Json.of_string line |> Result.to_option
+        | line -> Core.Json.of_string line |> Result.to_option
         | exception End_of_file -> None
       in
       let prev_done = ref None in
@@ -1023,7 +1025,7 @@ let top_cmd =
         | Some health, Some metrics ->
           let body =
             Option.value ~default:""
-              (Option.bind (get metrics "body") Service.Json.to_str)
+              (Option.bind (get metrics "body") Core.Json.to_str)
           in
           let samples = Telemetry.Prometheus.parse body in
           let qwait = hist_of_samples samples "service_queue_wait_ms" in
@@ -1062,7 +1064,7 @@ let top_cmd =
             (int_f health "conn_errors") (int_f health "conns_idle_closed")
             (int_f health "conns_dropped");
           (match Option.bind (get health "connections") (function
-             | Service.Json.Arr l -> Some l
+             | Core.Json.Arr l -> Some l
              | _ -> None)
            with
           | Some (_ :: _ as l) ->

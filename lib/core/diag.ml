@@ -45,34 +45,35 @@ let to_string d =
   Printf.sprintf "%s: %s: %s%s" d.stage (severity_to_string d.severity)
     d.message ctx
 
-(* Minimal JSON string escaping: quotes, backslashes and control chars. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  let field k v = Printf.sprintf "\"%s\":\"%s\"" k (json_escape v) in
-  let ctx =
-    d.context
-    |> List.map (fun (k, v) -> field (json_escape k) v)
-    |> String.concat ","
+  Json.Obj
+    [
+      ("stage", Json.Str d.stage);
+      ("severity", Json.Str (severity_to_string d.severity));
+      ("message", Json.Str d.message);
+      ( "context",
+        Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) d.context) );
+    ]
+
+let of_json ~stage ~message j =
+  let str name default =
+    Option.value ~default (Option.bind (Json.member name j) Json.to_str)
   in
-  Printf.sprintf "{%s,%s,%s,\"context\":{%s}}" (field "stage" d.stage)
-    (field "severity" (severity_to_string d.severity))
-    (field "message" d.message)
-    ctx
+  let severity =
+    match str "severity" "" with
+    | "warning" -> Warning
+    | "info" -> Info
+    | _ -> Error
+  in
+  let context =
+    match Json.member "context" j with
+    | Some (Json.Obj kvs) ->
+      List.filter_map
+        (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_str v))
+        kvs
+    | _ -> []
+  in
+  make ~severity ~context ~stage:(str "stage" stage) (str "message" message)
 
 let pp fmt d = Format.pp_print_string fmt (to_string d)
 

@@ -54,8 +54,16 @@ val severity_to_string : severity -> string
 val to_string : t -> string
 (** One-line rendering: [stage: severity: message (k=v, ...)]. *)
 
-val to_json : t -> string
-(** Stable JSON object rendering (hand-rolled; no external dependency). *)
+val to_json : t -> Json.t
+(** The object [{"stage", "severity", "message", "context"}], context as
+    a string-valued object in order: the [error] member of every service
+    reply. *)
+
+val of_json : stage:string -> message:string -> Json.t -> t
+(** The inverse of {!to_json}: [of_json ~stage ~message (to_json d) = d].
+    A member that is absent or not a string falls back to [stage] or
+    [message], an unknown severity to [Error], and non-string context
+    values are dropped, so any reply's [error] member decodes. *)
 
 val pp : Format.formatter -> t -> unit
 

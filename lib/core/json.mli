@@ -1,9 +1,13 @@
-(** Minimal JSON values for the NDJSON serving layer.
+(** The toolkit's one JSON codec.
 
-    The toolchain deliberately has no JSON dependency (every exporter so
-    far hand-rolls its output), but a {e server} must also parse requests,
-    so this module provides the smallest complete JSON implementation the
-    protocol needs: a value type, a recursive-descent parser and a stable
+    Every JSON document the kit reads or prints goes through this module:
+    protocol requests and replies, job documents, journal records, flow
+    pass reports, diagnostics, telemetry summaries, Chrome traces, the
+    event log and the bench ledgers.  No other module escapes a string or
+    spells a float for JSON; the digests and cache keys that must survive
+    an encode/decode round trip print their floats here too.  It is the
+    smallest complete JSON implementation the kit needs, with no external
+    dependency: a value type, a recursive-descent parser and a stable
     printer.  Numbers are kept as [float] (like JavaScript); [Int] helpers
     cover the common integral cases.  Object member order is preserved, so
     printing is stable and cache files diff cleanly. *)
@@ -21,9 +25,15 @@ val int : int -> t
 
 val of_string : string -> (t, string) result
 (** Parse one JSON document (surrounding whitespace allowed).  Errors
-    carry a character offset and a short description.  All standard
-    string escapes are decoded, including [u]-escapes (to UTF-8, with
-    surrogate-pair combination). *)
+    carry a byte offset and a short description that names any byte
+    outside printable ASCII by its hex code, so the message itself is
+    always valid UTF-8.  All standard string escapes are decoded,
+    including [u]-escapes (to UTF-8; a surrogate escape must be half of
+    a high-low pair).  The parser is strict about UTF-8: raw bytes inside
+    a string must be well-formed UTF-8 (no stray continuation bytes,
+    overlong forms, encoded surrogates or code points past U+10FFFF), so
+    every string it returns is valid UTF-8 and prints back as valid
+    JSON. *)
 
 val to_string : t -> string
 (** Compact single-line rendering (never emits a newline — one value is

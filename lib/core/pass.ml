@@ -177,14 +177,18 @@ let report_to_text r =
 
 let report_to_json r =
   let pass_json p =
-    let counters =
-      p.counters
-      |> List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v)
-      |> String.concat ","
-    in
-    Printf.sprintf
-      "{\"name\":\"%s\",\"wall_s\":%.6f,\"cached\":%b,\"counters\":{%s}}"
-      p.pass_name p.wall_s p.cached counters
+    Json.Obj
+      [
+        ("name", Json.Str p.pass_name);
+        ("wall_s", Json.Num p.wall_s);
+        ("cached", Json.Bool p.cached);
+        ( "counters",
+          Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) p.counters) );
+      ]
   in
-  Printf.sprintf "{\"total_s\":%.6f,\"passes\":[%s]}" r.total_s
-    (String.concat "," (List.map pass_json r.passes))
+  Json.to_string
+    (Json.Obj
+       [
+         ("total_s", Json.Num r.total_s);
+         ("passes", Json.Arr (List.map pass_json r.passes));
+       ])

@@ -111,4 +111,6 @@ val report_to_text : report -> string
 (** Fixed-width per-pass table: name, wall ms, cached flag, counters. *)
 
 val report_to_json : report -> string
-(** Stable machine-readable rendering (hand-rolled JSON). *)
+(** Stable machine-readable rendering, one {!Json} line:
+    [{"total_s", "passes": [{"name", "wall_s", "cached", "counters"}]}],
+    seconds in the codec's shortest round-trip form. *)

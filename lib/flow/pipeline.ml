@@ -45,14 +45,17 @@ let source_digest = function
 
 let scheme_string = function `S1 -> "S1" | `S2 -> "S2"
 
+(* Floats print in the JSON codec's shortest round-trip form, so aspects
+   that differ in any bit key different placements. *)
 let place_params s =
-  Printf.sprintf "%s:%s:%g:%s" (lib_digest s.lib) (scheme_string s.scheme)
-    s.aspect
+  let num f = Core.Json.to_string (Core.Json.Num f) in
+  Printf.sprintf "%s:%s:%s:%s" (lib_digest s.lib) (scheme_string s.scheme)
+    (num s.aspect)
     (match s.anneal with
     | None -> "noanneal"
     | Some c ->
-      Printf.sprintf "anneal:%d:%g:%d" c.Anneal.iterations c.Anneal.start_temp
-        c.Anneal.seed)
+      Printf.sprintf "anneal:%d:%s:%d" c.Anneal.iterations
+        (num c.Anneal.start_temp) c.Anneal.seed)
 
 let spec_digest s =
   Digest.to_hex

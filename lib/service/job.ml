@@ -415,248 +415,145 @@ let to_json t =
         ("adaptive", Json.Bool j.dse_adaptive);
       ]
 
-(* Decoding helpers: each accessor failure names the member, so protocol
-   errors pin down exactly which field was missing or ill-typed. *)
+(* Decoding helpers: each failure names the member, so protocol errors
+   pin down exactly which field was missing or ill-typed.  An absent
+   optional member decodes to [None], leaving its default to the job
+   constructors above. *)
 
-let get_field name conv what j =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> Ok v
-  | None ->
-    Core.Diag.failf ~stage:"service.protocol"
-      ~context:[ ("member", name) ]
-      "job: missing or ill-typed member %S (expected %s)" name what
-
-let get_default name conv what default j =
-  match Json.member name j with
-  | None -> Ok default
-  | Some _ -> get_field name conv what j
-
+let protocol = "service.protocol"
 let ( let* ) = Result.bind
 
+let ill_typed name what =
+  Core.Diag.failf ~stage:protocol
+    ~context:[ ("member", name) ]
+    "job: missing or ill-typed member %S (expected %s)" name what
+
+let req name conv what j =
+  match Option.bind (Json.member name j) conv with
+  | Some v -> Ok v
+  | None -> ill_typed name what
+
+let opt name conv what j =
+  match Json.member name j with
+  | None -> Ok None
+  | Some v -> (
+    match conv v with Some x -> Ok (Some x) | None -> ill_typed name what)
+
+(* an optional string member that must name one of a closed set *)
+let opt_enum name conv parse ~expected ~kind j =
+  let* s = opt name conv "string" j in
+  match s with
+  | None -> Ok None
+  | Some s -> (
+    match parse s with
+    | Some v -> Ok (Some v)
+    | None ->
+      Core.Diag.failf ~stage:protocol ~context:[ (name, s) ]
+        "%s job: unknown %s %S (expected %s)" kind name s expected)
+
+(* schemes are case-insensitive on the wire, styles are not *)
+let lowercase v = Option.map String.lowercase_ascii (Json.to_str v)
+
+let scheme_of_string = function
+  | "s1" | "1" -> Some `S1
+  | "s2" | "2" -> Some `S2
+  | _ -> None
+
+let style =
+  opt_enum "style" Json.to_str style_of_string
+    ~expected:"new, old, vulnerable or cmos"
+
+let scheme = opt_enum "scheme" lowercase scheme_of_string ~expected:"s1 or s2"
+
+let list name conv what ~kind j =
+  let* xs = opt name Json.to_list "array" j in
+  match xs with
+  | None -> Ok None
+  | Some xs ->
+    let vs = List.filter_map conv xs in
+    if List.compare_lengths vs xs = 0 then Ok (Some vs)
+    else
+      Core.Diag.failf ~stage:protocol
+        ~context:[ ("member", name) ]
+        "%s job: %s must be an array of %s" kind name what
+
 let of_json j =
-  let* k = get_field "kind" Json.to_str "string" j in
-  match k with
+  let int name = opt name Json.to_int "int" j in
+  let num name = opt name Json.to_float "number" j in
+  let str name = req name Json.to_str "string" j in
+  let* kind = str "kind" in
+  match kind with
   | "flow" ->
-    let* design = get_default "design" Json.to_str "string" "full_adder" j in
+    let* design = opt "design" Json.to_str "string" j in
     let* source =
-      match design with
+      match Option.value design ~default:"full_adder" with
       | "full_adder" -> Ok Full_adder
       | "ripple" ->
-        let* bits = get_default "bits" Json.to_int "int" 8 j in
-        Ok (Ripple bits)
-      | "netlist" ->
-        let* text = get_field "text" Json.to_str "string" j in
-        Ok (Netlist_text text)
-      | "generated" ->
-        let* spec = get_field "spec" Json.to_str "string" j in
-        Ok (Generated spec)
+        let* bits = int "bits" in
+        Ok (Ripple (Option.value bits ~default:8))
+      | "netlist" -> Result.map (fun t -> Netlist_text t) (str "text")
+      | "generated" -> Result.map (fun s -> Generated s) (str "spec")
       | other ->
-        Core.Diag.failf ~stage:"service.protocol"
+        Core.Diag.failf ~stage:protocol
           ~context:[ ("design", other) ]
           "flow job: unknown design %S (expected full_adder, ripple, \
            netlist or generated)"
           other
     in
-    let* scheme_s = get_default "scheme" Json.to_str "string" "s2" j in
-    let* scheme =
-      match String.lowercase_ascii scheme_s with
-      | "s1" | "1" -> Ok `S1
-      | "s2" | "2" -> Ok `S2
-      | other ->
-        Core.Diag.failf ~stage:"service.protocol"
-          ~context:[ ("scheme", other) ]
-          "flow job: unknown scheme %S (expected s1 or s2)" other
-    in
-    let* aspect = get_default "aspect" Json.to_float "number" 1.0 j in
-    Ok (Flow { source; scheme; aspect })
+    let* scheme = scheme ~kind j in
+    let* aspect = num "aspect" in
+    Ok (flow ?scheme ?aspect source)
   | "fault" ->
-    let* cell = get_field "cell" Json.to_str "string" j in
-    let* drive = get_default "drive" Json.to_int "int" 4 j in
-    let* style_s = get_default "style" Json.to_str "string" "new" j in
-    let* style =
-      match style_of_string style_s with
-      | Some s -> Ok s
-      | None ->
-        Core.Diag.failf ~stage:"service.protocol"
-          ~context:[ ("style", style_s) ]
-          "fault job: unknown style %S (expected new, old, vulnerable or \
-           cmos)"
-          style_s
-    in
-    let* trials = get_default "trials" Json.to_int "int" 1000 j in
-    let* tracks_per_trial =
-      get_default "tracks_per_trial" Json.to_int "int" 3 j
-    in
-    let* max_angle_deg =
-      get_default "max_angle_deg" Json.to_float "number" 8.0 j
-    in
-    let* seed = get_default "seed" Json.to_int "int" 42 j in
-    Ok
-      (Fault
-         { cell; drive; style; trials; tracks_per_trial; max_angle_deg; seed })
+    let* cell = str "cell" in
+    let* drive = int "drive" in
+    let* style = style ~kind j in
+    let* trials = int "trials" in
+    let* tracks_per_trial = int "tracks_per_trial" in
+    let* max_angle_deg = num "max_angle_deg" in
+    let* seed = int "seed" in
+    Ok (fault ?drive ?style ?trials ?tracks_per_trial ?max_angle_deg ?seed cell)
   | "characterize" ->
-    let* char_cell = get_field "cell" Json.to_str "string" j in
-    let* char_drive = get_default "drive" Json.to_int "int" 1 j in
-    let* loads_json =
-      get_default "loads" Json.to_list "array"
-        [ Json.int 1; Json.int 2; Json.int 4 ]
-        j
-    in
-    let* loads =
-      List.fold_left
-        (fun acc x ->
-          let* acc = acc in
-          match Json.to_int x with
-          | Some l -> Ok (l :: acc)
-          | None ->
-            Core.Diag.fail ~stage:"service.protocol"
-              ~context:[ ("member", "loads") ]
-              "characterize job: loads must be an array of ints")
-        (Ok []) loads_json
-      |> Result.map List.rev
-    in
-    Ok (Characterize { char_cell; char_drive; loads })
+    let* cell = str "cell" in
+    let* drive = int "drive" in
+    let* loads = list "loads" Json.to_int "ints" ~kind j in
+    Ok (characterize ?drive ?loads cell)
   | "testgen" ->
-    let* tg_cell = get_field "cell" Json.to_str "string" j in
-    let* tg_drive = get_default "drive" Json.to_int "int" 4 j in
-    let* style_s = get_default "style" Json.to_str "string" "vulnerable" j in
-    let* tg_style =
-      match style_of_string style_s with
-      | Some s -> Ok s
-      | None ->
-        Core.Diag.failf ~stage:"service.protocol"
-          ~context:[ ("style", style_s) ]
-          "testgen job: unknown style %S (expected new, old, vulnerable or \
-           cmos)"
-          style_s
-    in
-    let* scheme_s = get_default "scheme" Json.to_str "string" "s1" j in
-    let* tg_scheme =
-      match String.lowercase_ascii scheme_s with
-      | "s1" | "1" -> Ok `S1
-      | "s2" | "2" -> Ok `S2
-      | other ->
-        Core.Diag.failf ~stage:"service.protocol"
-          ~context:[ ("scheme", other) ]
-          "testgen job: unknown scheme %S (expected s1 or s2)" other
-    in
-    let* tg_trials = get_default "trials" Json.to_int "int" 1000 j in
-    let* tg_tracks_per_trial =
-      get_default "tracks_per_trial" Json.to_int "int" 3 j
-    in
-    let* tg_max_angle_deg =
-      get_default "max_angle_deg" Json.to_float "number" 8.0 j
-    in
-    let* tg_seed = get_default "seed" Json.to_int "int" 42 j in
-    let* tg_max_spares = get_default "max_spares" Json.to_int "int" 2 j in
-    let* tg_p_good = get_default "p_good" Json.to_float "number" 0.9 j in
-    let* tg_max_extra_tubes =
-      get_default "max_extra_tubes" Json.to_int "int" 4 j
-    in
+    let* cell = str "cell" in
+    let* drive = int "drive" in
+    let* style = style ~kind j in
+    let* scheme = scheme ~kind j in
+    let* trials = int "trials" in
+    let* tracks_per_trial = int "tracks_per_trial" in
+    let* max_angle_deg = num "max_angle_deg" in
+    let* seed = int "seed" in
+    let* max_spares = int "max_spares" in
+    let* p_good = num "p_good" in
+    let* max_extra_tubes = int "max_extra_tubes" in
     Ok
-      (Testgen
-         {
-           tg_cell;
-           tg_drive;
-           tg_style;
-           tg_scheme;
-           tg_trials;
-           tg_tracks_per_trial;
-           tg_max_angle_deg;
-           tg_seed;
-           tg_max_spares;
-           tg_p_good;
-           tg_max_extra_tubes;
-         })
+      (testgen ?drive ?style ?scheme ?trials ?tracks_per_trial ?max_angle_deg
+         ?seed ?max_spares ?p_good ?max_extra_tubes cell)
   | "dse" ->
-    let* dse_cell = get_field "cell" Json.to_str "string" j in
-    let* style_s = get_default "style" Json.to_str "string" "vulnerable" j in
-    let* dse_style =
-      match style_of_string style_s with
-      | Some s -> Ok s
-      | None ->
-        Core.Diag.failf ~stage:"service.protocol"
-          ~context:[ ("style", style_s) ]
-          "dse job: unknown style %S (expected new, old, vulnerable or cmos)"
-          style_s
+    let* cell = str "cell" in
+    let* style = style ~kind j in
+    let numbers name = list name Json.to_float "numbers" ~kind j in
+    let* pitches = numbers "pitches" in
+    let* p_metallic = numbers "p_metallic" in
+    let* removal = numbers "removal" in
+    let* drives = list "drives" Json.to_int "ints" ~kind j in
+    let* schemes =
+      list "schemes"
+        (fun x -> Option.bind (lowercase x) scheme_of_string)
+        "\"s1\" / \"s2\"" ~kind j
     in
-    let number_list name default =
-      let* xs =
-        get_default name Json.to_list "array"
-          (List.map (fun v -> Json.Num v) default)
-          j
-      in
-      List.fold_left
-        (fun acc x ->
-          let* acc = acc in
-          match Json.to_float x with
-          | Some v -> Ok (v :: acc)
-          | None ->
-            Core.Diag.failf ~stage:"service.protocol"
-              ~context:[ ("member", name) ]
-              "dse job: %s must be an array of numbers" name)
-        (Ok []) xs
-      |> Result.map List.rev
-    in
-    let* dse_pitches = number_list "pitches" [ 4.; 5.; 6.; 8. ] in
-    let* dse_p_metallic = number_list "p_metallic" [ 0.01; 0.1; 0.33 ] in
-    let* dse_removal = number_list "removal" [ 0.95; 0.999 ] in
-    let* drives_json =
-      get_default "drives" Json.to_list "array" [ Json.int 1; Json.int 2 ] j
-    in
-    let* dse_drives =
-      List.fold_left
-        (fun acc x ->
-          let* acc = acc in
-          match Json.to_int x with
-          | Some v -> Ok (v :: acc)
-          | None ->
-            Core.Diag.fail ~stage:"service.protocol"
-              ~context:[ ("member", "drives") ]
-              "dse job: drives must be an array of ints")
-        (Ok []) drives_json
-      |> Result.map List.rev
-    in
-    let* schemes_json =
-      get_default "schemes" Json.to_list "array"
-        [ Json.Str "s1"; Json.Str "s2" ]
-        j
-    in
-    let* dse_schemes =
-      List.fold_left
-        (fun acc x ->
-          let* acc = acc in
-          match Option.map String.lowercase_ascii (Json.to_str x) with
-          | Some ("s1" | "1") -> Ok (`S1 :: acc)
-          | Some ("s2" | "2") -> Ok (`S2 :: acc)
-          | _ ->
-            Core.Diag.fail ~stage:"service.protocol"
-              ~context:[ ("member", "schemes") ]
-              "dse job: schemes must be an array of \"s1\" / \"s2\"")
-        (Ok []) schemes_json
-      |> Result.map List.rev
-    in
-    let* dse_load = get_default "load" Json.to_int "int" 2 j in
-    let* dse_max_trials = get_default "max_trials" Json.to_int "int" 400 j in
-    let* dse_seed = get_default "seed" Json.to_int "int" 42 j in
-    let* dse_adaptive = get_default "adaptive" Json.to_bool "bool" true j in
+    let* load = int "load" in
+    let* max_trials = int "max_trials" in
+    let* seed = int "seed" in
+    let* adaptive = opt "adaptive" Json.to_bool "bool" j in
     Ok
-      (Dse
-         {
-           dse_cell;
-           dse_style;
-           dse_pitches;
-           dse_p_metallic;
-           dse_removal;
-           dse_drives;
-           dse_schemes;
-           dse_load;
-           dse_max_trials;
-           dse_seed;
-           dse_adaptive;
-         })
+      (dse ?style ?pitches ?p_metallic ?removal ?drives ?schemes ?load
+         ?max_trials ?seed ?adaptive cell)
   | other ->
-    Core.Diag.failf ~stage:"service.protocol"
+    Core.Diag.failf ~stage:protocol
       ~context:[ ("kind", other) ]
       "job: unknown kind %S (expected flow, fault, characterize, testgen or \
        dse)"

@@ -150,6 +150,7 @@ val to_json : t -> Json.t
 val of_json : Json.t -> (t, Core.Diag.t) result
 (** Protocol codec.  [of_json] validates shape only ({!validate} runs at
     submission); unknown [kind]s and missing/ill-typed fields are
-    structured diagnostics naming the offending member.  Testgen jobs
+    structured diagnostics naming the offending member, and an absent
+    optional member takes the default of the constructor above.  Testgen jobs
     spell their members like the other kinds ([scheme] as in flow jobs,
     [style] the layout style as in fault jobs). *)

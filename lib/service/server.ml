@@ -1,21 +1,9 @@
 let stage = "service.protocol"
 
-let diag_json (d : Core.Diag.t) =
-  Json.Obj
-    [
-      ("stage", Json.Str d.Core.Diag.stage);
-      ("severity",
-       Json.Str (Core.Diag.severity_to_string d.Core.Diag.severity));
-      ("message", Json.Str d.Core.Diag.message);
-      ("context",
-       Json.Obj
-         (List.map (fun (k, v) -> (k, Json.Str v)) d.Core.Diag.context));
-    ]
-
 let error_event ?(event = "error") d =
   Json.Obj
     [ ("ok", Json.Bool false); ("event", Json.Str event);
-      ("error", diag_json d) ]
+      ("error", Core.Diag.to_json d) ]
 
 (* every successful reply opens with these two members *)
 let ok_event event members =
@@ -47,7 +35,7 @@ let event_of_completion (c : Scheduler.completion) =
         ("wall_ms", Json.Num wall_ms);
         ("result", result);
       ]
-    | Scheduler.Failed d -> [ ("error", diag_json d) ]
+    | Scheduler.Failed d -> [ ("error", Core.Diag.to_json d) ]
     | Scheduler.Cancelled -> []
     | Scheduler.Expired { late_ms } -> [ ("late_ms", Json.Num late_ms) ]
   in

@@ -122,22 +122,6 @@ let stats_json t =
 (* ------------------------------------------------------------------ *)
 (* Protocol plumbing                                                  *)
 
-(* the reverse of Server.diag_json: rebuild a structured diagnostic from
-   a worker's "failed" event so the parent's completion carries it *)
-let diag_of_json j =
-  let str name default =
-    Option.value ~default (Option.bind (Json.member name j) Json.to_str)
-  in
-  let context =
-    match Json.member "context" j with
-    | Some (Json.Obj kvs) ->
-      List.filter_map
-        (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_str v))
-        kvs
-    | _ -> []
-  in
-  Core.Diag.error ~stage:(str "stage" stage) ~context (str "message" "worker job failed")
-
 (* blocking write of the (small) request lines; EAGAIN waits for the
    socketpair buffer with a bounded select.  false = the worker is gone. *)
 let send_all fd s =
@@ -236,7 +220,8 @@ let on_reply t sched ~route w line =
         | Some "failed" ->
           let d =
             match Json.member "error" j with
-            | Some e -> diag_of_json e
+            | Some e ->
+              Core.Diag.of_json ~stage ~message:"worker job failed" e
             | None -> Core.Diag.error ~stage "worker reported failure"
           in
           settle t sched ~route w (Error d)
@@ -246,7 +231,8 @@ let on_reply t sched ~route w line =
       | Some "rejected" | Some "error" ->
         let d =
           match Json.member "error" j with
-          | Some e -> diag_of_json e
+          | Some e ->
+            Core.Diag.of_json ~stage ~message:"worker job failed" e
           | None -> Core.Diag.error ~stage "worker rejected the job"
         in
         settle t sched ~route w (Error d)

@@ -1,3 +1,5 @@
+module Json = Core.Json
+
 type value = Int of int | Float of float | String of string | Bool of bool
 type attrs = (string * value) list
 
@@ -310,36 +312,11 @@ let quantile snap name q =
 
 (* --- exporters --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
-
-let value_to_json = function
-  | Int i -> string_of_int i
-  | Float f -> json_float f
-  | String s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Bool b -> string_of_bool b
-
-let attrs_to_json attrs =
-  attrs
-  |> List.map (fun (k, v) ->
-         Printf.sprintf "\"%s\":%s" (json_escape k) (value_to_json v))
-  |> String.concat ","
+let json_of_value = function
+  | Int i -> Json.int i
+  | Float f -> Json.Num f
+  | String s -> Json.Str s
+  | Bool b -> Json.Bool b
 
 (* Aggregate spans by name for the summaries. *)
 let span_rollup snap =
@@ -409,69 +386,66 @@ let summary_to_text snap =
   Buffer.contents buf
 
 let summary_to_json snap =
-  let rollup =
-    span_rollup snap
-    |> List.map (fun (name, count, total) ->
-           Printf.sprintf "{\"name\":\"%s\",\"count\":%d,\"total_ms\":%s}"
-             (json_escape name) count
-             (json_float (ms_of_ns total)))
-    |> String.concat ","
+  let obj f kvs = Json.Obj (List.map (fun (k, v) -> (k, f v)) kvs) in
+  let nums a = Json.Arr (Array.to_list (Array.map (fun v -> Json.Num v) a)) in
+  let hist (h : Hist.t) =
+    Json.Obj
+      [
+        ("buckets", nums h.Hist.buckets);
+        ("counts", Json.Arr (Array.to_list (Array.map Json.int h.Hist.counts)));
+        ("count", Json.int h.Hist.count);
+        ("sum", Json.Num h.Hist.sum);
+      ]
   in
-  let counters =
-    snap.counters
-    |> List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v)
-    |> String.concat ","
+  let span (name, count, total) =
+    Json.Obj
+      [
+        ("name", Json.Str name);
+        ("count", Json.int count);
+        ("total_ms", Json.Num (ms_of_ns total));
+      ]
   in
-  let gauges =
-    snap.gauges
-    |> List.map (fun (k, v) ->
-           Printf.sprintf "\"%s\":%s" (json_escape k) (json_float v))
-    |> String.concat ","
-  in
-  let hists =
-    snap.hists
-    |> List.map (fun (k, (h : Hist.t)) ->
-           Printf.sprintf
-             "\"%s\":{\"buckets\":[%s],\"counts\":[%s],\"count\":%d,\"sum\":%s}"
-             (json_escape k)
-             (String.concat ","
-                (Array.to_list (Array.map json_float h.Hist.buckets)))
-             (String.concat ","
-                (Array.to_list (Array.map string_of_int h.Hist.counts)))
-             h.Hist.count (json_float h.Hist.sum))
-    |> String.concat ","
-  in
-  Printf.sprintf
-    "{\"spans\":[%s],\"counters\":{%s},\"gauges\":{%s},\"histograms\":{%s}}"
-    rollup counters gauges hists
+  Json.to_string
+    (Json.Obj
+       [
+         ("spans", Json.Arr (List.map span (span_rollup snap)));
+         ("counters", obj Json.int snap.counters);
+         ("gauges", obj (fun v -> Json.Num v) snap.gauges);
+         ("histograms", obj hist snap.hists);
+       ])
 
 let chrome_trace snap =
   let t0 =
     match snap.spans with [] -> 0L | sp :: _ -> sp.start_ns
   in
-  let us_of ns = Int64.to_float (Int64.sub ns t0) /. 1e3 in
+  let us_of ns = Json.Num (Int64.to_float (Int64.sub ns t0) /. 1e3) in
   let event sp =
     let args =
       match sp.parent with
       | Some p -> ("parent", String p) :: sp.attrs
       | None -> sp.attrs
     in
-    if sp.instant then
-      Printf.sprintf
-        "{\"name\":\"%s\",\"cat\":\"cnfet\",\"ph\":\"i\",\"s\":\"t\",\
-         \"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{%s}}"
-        (json_escape sp.name) (us_of sp.start_ns) sp.shard
-        (attrs_to_json args)
-    else
-      Printf.sprintf
-        "{\"name\":\"%s\",\"cat\":\"cnfet\",\"ph\":\"X\",\"ts\":%.3f,\
-         \"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{%s}}"
-        (json_escape sp.name) (us_of sp.start_ns)
-        (Int64.to_float sp.dur_ns /. 1e3)
-        sp.shard (attrs_to_json args)
+    let phase =
+      if sp.instant then
+        [ ("ph", Json.Str "i"); ("s", Json.Str "t"); ("ts", us_of sp.start_ns) ]
+      else
+        [
+          ("ph", Json.Str "X");
+          ("ts", us_of sp.start_ns);
+          ("dur", Json.Num (Int64.to_float sp.dur_ns /. 1e3));
+        ]
+    in
+    Json.Obj
+      ((("name", Json.Str sp.name) :: ("cat", Json.Str "cnfet") :: phase)
+      @ [
+          ("pid", Json.int 1);
+          ("tid", Json.int sp.shard);
+          ( "args",
+            Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) args) );
+        ])
   in
-  Printf.sprintf "{\"traceEvents\":[%s]}"
-    (String.concat ",\n" (List.map event snap.spans))
+  Json.to_string
+    (Json.Obj [ ("traceEvents", Json.Arr (List.map event snap.spans)) ])
 
 (* --- Prometheus text exposition (v0.0.4) --- *)
 
@@ -521,20 +495,13 @@ module Prometheus = struct
       s;
     Buffer.contents buf
 
-  (* Shortest decimal spelling that round-trips the double: "%g" when it
-     parses back exactly, full precision otherwise. *)
-  let fmt_float f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else
-      let s = Printf.sprintf "%g" f in
-      if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
+  (* finite values in the codec's shortest round-trip spelling, which
+     Prometheus parses like any float *)
   let fmt_value f =
     if f <> f then "NaN"
     else if f = Float.infinity then "+Inf"
     else if f = Float.neg_infinity then "-Inf"
-    else fmt_float f
+    else Json.to_string (Json.Num f)
 
   let labels_string = function
     | [] -> ""
@@ -720,29 +687,22 @@ module Events = struct
   let set_sink f = with_lock (fun () -> sink := f)
 
   let to_json e =
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf
-      (Printf.sprintf "{\"seq\":%d,\"ts_ms\":%s,\"kind\":\"%s\"" e.seq
-         (json_float e.ts_ms) (json_escape e.kind));
-    (match e.trace_id with
-    | Some t ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\"trace_id\":\"%s\"" (json_escape t))
-    | None -> ());
-    List.iter
-      (fun (k, v) ->
-        (* an attr reusing an envelope key would make a duplicate-key
-           document; prefix it instead of emitting invalid JSON *)
-        let k =
-          match k with
-          | "seq" | "ts_ms" | "kind" | "trace_id" -> "attr_" ^ k
-          | _ -> k
-        in
-        Buffer.add_string buf
-          (Printf.sprintf ",\"%s\":%s" (json_escape k) (value_to_json v)))
-      e.attrs;
-    Buffer.add_char buf '}';
-    Buffer.contents buf
+    let trace =
+      match e.trace_id with Some t -> [ ("trace_id", Json.Str t) ] | None -> []
+    in
+    let envelope =
+      [ ("seq", Json.int e.seq); ("ts_ms", Json.Num e.ts_ms);
+        ("kind", Json.Str e.kind) ]
+      @ trace
+    in
+    let attr (k, v) =
+      (* an attr reusing an envelope key would make a duplicate-key
+         document; prefix it instead of emitting invalid JSON *)
+      match k with
+      | "seq" | "ts_ms" | "kind" | "trace_id" -> ("attr_" ^ k, json_of_value v)
+      | _ -> (k, json_of_value v)
+    in
+    Json.to_string (Json.Obj (envelope @ List.map attr e.attrs))
 
   let emit ?trace_id ?(attrs = []) kind =
     let line =

@@ -1,7 +1,11 @@
 (** Process-wide telemetry: hierarchical spans, a sharded metrics registry
-    (counters / gauges / fixed-bucket histograms), and two exporters — a
-    text summary and Chrome [trace_event] JSON loadable in
-    [about://tracing] or Perfetto.
+    (counters / gauges / fixed-bucket histograms), a structured event log,
+    and exporters — a text summary, a JSON summary, Chrome [trace_event]
+    JSON loadable in [about://tracing] or Perfetto, and a Prometheus
+    scrape.  Every JSON exporter builds a {!Core.Json.t} and prints it with
+    {!Core.Json.to_string}, so names are escaped and floats spelled in
+    the codec's shortest round-trip form, and every document parses
+    back.
 
     Distinct from {!Cnfet.Metrics} (figure-of-merit area/delay metrics of
     the paper): this module observes the {e toolkit itself} — the
@@ -185,13 +189,14 @@ val summary_to_text : snapshot -> string
     [top] monitor shows. *)
 
 val summary_to_json : snapshot -> string
-(** Same data, hand-rolled stable JSON:
+(** Same data as one JSON line:
     [{"spans":[...],"counters":{...},"gauges":{...},"histograms":{...}}]. *)
 
 val chrome_trace : snapshot -> string
-(** Chrome [trace_event] JSON ([{"traceEvents":[...]}]): complete events
-    ([ph:"X"]) per span and instant events ([ph:"i"]) — timestamps are
-    microseconds relative to the earliest event, [tid] is the shard id.
+(** Chrome [trace_event] JSON ([{"traceEvents":[...]}], one line):
+    complete events ([ph:"X"]) per span and instant events ([ph:"i"]) —
+    timestamps are microseconds relative to the earliest event, [tid] is
+    the shard id.
     Load in [about://tracing] or {{:https://ui.perfetto.dev}Perfetto}. *)
 
 (** {1 Prometheus exposition}
@@ -223,8 +228,10 @@ module Prometheus : sig
       ([# TYPE histogram] with cumulative [_bucket{le="..."}] series
       ending in [le="+Inf"], then [_sum] and [_count]) of the snapshot,
       name-sorted, one trailing newline.  [?labels] are attached to
-      every sample (label values escaped), e.g. an [instance] tag.  An
-      empty registry renders as the empty string — a valid scrape. *)
+      every sample (label values escaped), e.g. an [instance] tag.
+      Finite values print in {!Core.Json}'s shortest round-trip form;
+      non-finite ones as [NaN], [+Inf] and [-Inf].  An empty registry
+      renders as the empty string — a valid scrape. *)
 
   type sample = {
     metric : string;  (** sanitized family name, e.g. [foo_bucket] *)

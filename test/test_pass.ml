@@ -45,7 +45,7 @@ let diag_json () =
   let d =
     Core.Diag.error ~stage:"parse" ~context:[ ("line", "3") ] "bad \"token\""
   in
-  let j = Core.Diag.to_json d in
+  let j = Core.Json.to_string (Core.Diag.to_json d) in
   checkb "escapes quotes" true (contains "bad \\\"token\\\"" j);
   checkb "has stage field" true (contains "\"stage\":\"parse\"" j);
   checkb "has context" true (contains "\"line\":\"3\"" j)

@@ -11,6 +11,11 @@ let checkb = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* --- JSON --- *)
 
 let json_roundtrip () =
@@ -43,7 +48,15 @@ let json_roundtrip () =
       match Json.of_string bad with
       | Ok _ -> Alcotest.failf "accepted %S" bad
       | Error e -> checkb bad true (String.length e > 0))
-    [ ""; "{"; "[1,]"; "{\"a\"}"; "tru"; "1e"; "\"unterminated"; "1 2" ]
+    [ ""; "{"; "[1,]"; "{\"a\"}"; "tru"; "1e"; "\"unterminated"; "1 2";
+      "\"\xff\"" (* a byte that never occurs in UTF-8 *);
+      "\"\xc3\"" (* a lead byte cut off by the closing quote *);
+      "\"\xc3\x41\"" (* a lead byte without its continuation *);
+      "\"\x80\"" (* a stray continuation byte *);
+      "\"\xc0\xaf\"" (* an overlong '/' *);
+      "\"\xed\xa0\x80\"" (* an encoded surrogate *);
+      "\"\xf4\x90\x80\x80\"" (* past U+10FFFF *);
+      "{\"op\":\xff}"; "{\"op\":\xc3\xa9}" ]
 
 let json_numbers () =
   check_str "integral" "42" (Json.to_string (Json.int 42));
@@ -92,10 +105,47 @@ let json_unicode_escape_rejects () =
       "\"\\u\"" (* lone \u before the closing quote *);
       "\"\\u12\"" (* truncated at end of input *);
       "\"\\u" (* lone \u at end of input *);
+      "\"\\ud800\"" (* lone high surrogate *);
+      "\"\\udc00\"" (* lone low surrogate *);
+      "\"\\ud800\\u0041\"" (* high surrogate before a non-surrogate *);
+      "\"\\ud800\\ud800\"" (* two high surrogates *);
+      "\"\\ud800x\"";
     ];
   match Json.of_string "\"\\u00E9\"" with
   | Ok (Json.Str s) -> check_str "uppercase hex still fine" "\xc3\xa9" s
   | _ -> Alcotest.fail "rejected a valid escape"
+
+(* Strings come back as valid UTF-8, and an error message names any byte
+   outside printable ASCII by its code, so even the reply to a garbled
+   request is valid UTF-8. *)
+let json_strict_utf8 () =
+  List.iter
+    (fun (input, offset, byte) ->
+      match Json.of_string input with
+      | Ok _ -> Alcotest.failf "accepted %S" input
+      | Error e ->
+        checkb (e ^ " is UTF-8") true (String.is_valid_utf_8 e);
+        checkb (e ^ " gives the offset") true
+          (contains ~sub:(Printf.sprintf "offset %d:" offset) e);
+        checkb (e ^ " names " ^ byte) true (contains ~sub:byte e))
+    [
+      ("\"t\xff\"", 2, "0xFF");
+      ("{\"op\":\xff}", 6, "0xFF");
+      ("{\"op\":\xc3\xa9}", 6, "0xC3");
+      ("\"\xed\xa0\x80\"", 1, "0xED");
+      ("[\"ok\",\"\\ud800\"]", 7, "D800");
+    ];
+  (* well-formed multi-byte UTF-8 passes through unchanged *)
+  List.iter
+    (fun raw ->
+      match Json.of_string ("\"" ^ raw ^ "\"") with
+      | Ok (Json.Str s) ->
+        check_str "utf-8 kept" raw s;
+        check_str "prints back" ("\"" ^ raw ^ "\"")
+          (Json.to_string (Json.Str s))
+      | _ -> Alcotest.failf "rejected %S" raw)
+    [ "\xc3\xa9"; "\xe2\x82\xac"; "\xef\xbf\xbf"; "\xf0\x9f\x98\x80";
+      "\xf4\x8f\xbf\xbf" ]
 
 (* --- jobs --- *)
 
@@ -148,7 +198,163 @@ let job_codec_rejects () =
       match Job.of_json v with
       | Ok _ -> Alcotest.failf "accepted %s" s
       | Error d -> check_str s "service.protocol" d.Core.Diag.stage)
-    bad
+    bad;
+  (* every decoder error, spelled exactly: message, context and the
+     member checked first when several are wrong *)
+  let exact =
+    [
+      ( {|{}|},
+        "job: missing or ill-typed member \"kind\" (expected string) \
+         (member=kind)" );
+      ( {|{"kind":3}|},
+        "job: missing or ill-typed member \"kind\" (expected string) \
+         (member=kind)" );
+      ( {|{"kind":"nope"}|},
+        "job: unknown kind \"nope\" (expected flow, fault, characterize, \
+         testgen or dse) (kind=nope)" );
+      ( {|{"kind":"flow","design":"warp_core"}|},
+        "flow job: unknown design \"warp_core\" (expected full_adder, \
+         ripple, netlist or generated) (design=warp_core)" );
+      ( {|{"kind":"flow","design":3}|},
+        "job: missing or ill-typed member \"design\" (expected string) \
+         (member=design)" );
+      ( {|{"kind":"flow","design":"ripple","bits":"wide"}|},
+        "job: missing or ill-typed member \"bits\" (expected int) \
+         (member=bits)" );
+      ( {|{"kind":"flow","design":"netlist"}|},
+        "job: missing or ill-typed member \"text\" (expected string) \
+         (member=text)" );
+      ( {|{"kind":"flow","design":"generated","spec":false}|},
+        "job: missing or ill-typed member \"spec\" (expected string) \
+         (member=spec)" );
+      ( {|{"kind":"flow","scheme":"S3"}|},
+        "flow job: unknown scheme \"s3\" (expected s1 or s2) (scheme=s3)" );
+      ( {|{"kind":"flow","scheme":2}|},
+        "job: missing or ill-typed member \"scheme\" (expected string) \
+         (member=scheme)" );
+      ( {|{"kind":"flow","aspect":"wide"}|},
+        "job: missing or ill-typed member \"aspect\" (expected number) \
+         (member=aspect)" );
+      ( {|{"kind":"flow","design":"warp_core","scheme":"s3"}|},
+        "flow job: unknown design \"warp_core\" (expected full_adder, \
+         ripple, netlist or generated) (design=warp_core)" );
+      ( {|{"kind":"fault"}|},
+        "job: missing or ill-typed member \"cell\" (expected string) \
+         (member=cell)" );
+      ( {|{"kind":"fault","cell":3}|},
+        "job: missing or ill-typed member \"cell\" (expected string) \
+         (member=cell)" );
+      ( {|{"kind":"fault","cell":"NAND2","style":"fancy"}|},
+        "fault job: unknown style \"fancy\" (expected new, old, vulnerable \
+         or cmos) (style=fancy)" );
+      ( {|{"kind":"fault","cell":"NAND2","style":1}|},
+        "job: missing or ill-typed member \"style\" (expected string) \
+         (member=style)" );
+      ( {|{"kind":"fault","cell":"NAND2","drive":"x","style":"fancy"}|},
+        "job: missing or ill-typed member \"drive\" (expected int) \
+         (member=drive)" );
+      ( {|{"kind":"fault","cell":"NAND2","trials":1.5}|},
+        "job: missing or ill-typed member \"trials\" (expected int) \
+         (member=trials)" );
+      ( {|{"kind":"fault","cell":"NAND2","tracks_per_trial":null}|},
+        "job: missing or ill-typed member \"tracks_per_trial\" (expected \
+         int) (member=tracks_per_trial)" );
+      ( {|{"kind":"fault","cell":"NAND2","max_angle_deg":"x"}|},
+        "job: missing or ill-typed member \"max_angle_deg\" (expected \
+         number) (member=max_angle_deg)" );
+      ( {|{"kind":"fault","cell":"NAND2","seed":"x"}|},
+        "job: missing or ill-typed member \"seed\" (expected int) \
+         (member=seed)" );
+      ( {|{"kind":"characterize"}|},
+        "job: missing or ill-typed member \"cell\" (expected string) \
+         (member=cell)" );
+      ( {|{"kind":"characterize","cell":"INV","drive":"x"}|},
+        "job: missing or ill-typed member \"drive\" (expected int) \
+         (member=drive)" );
+      ( {|{"kind":"characterize","cell":"INV","loads":"x"}|},
+        "job: missing or ill-typed member \"loads\" (expected array) \
+         (member=loads)" );
+      ( {|{"kind":"characterize","cell":"INV","loads":[1,"x"]}|},
+        "characterize job: loads must be an array of ints (member=loads)" );
+      ( {|{"kind":"testgen"}|},
+        "job: missing or ill-typed member \"cell\" (expected string) \
+         (member=cell)" );
+      ( {|{"kind":"testgen","cell":"NAND2","scheme":"s3"}|},
+        "testgen job: unknown scheme \"s3\" (expected s1 or s2) (scheme=s3)" );
+      ( {|{"kind":"testgen","cell":"NAND2","scheme":[]}|},
+        "job: missing or ill-typed member \"scheme\" (expected string) \
+         (member=scheme)" );
+      ( {|{"kind":"testgen","cell":"NAND2","style":"fancy"}|},
+        "testgen job: unknown style \"fancy\" (expected new, old, \
+         vulnerable or cmos) (style=fancy)" );
+      ( {|{"kind":"testgen","cell":"NAND2","style":"fancy","scheme":"s3"}|},
+        "testgen job: unknown style \"fancy\" (expected new, old, \
+         vulnerable or cmos) (style=fancy)" );
+      ( {|{"kind":"testgen","cell":"NAND2","p_good":"high"}|},
+        "job: missing or ill-typed member \"p_good\" (expected number) \
+         (member=p_good)" );
+      ( {|{"kind":"testgen","cell":"NAND2","max_spares":"x"}|},
+        "job: missing or ill-typed member \"max_spares\" (expected int) \
+         (member=max_spares)" );
+      ( {|{"kind":"testgen","cell":"NAND2","max_extra_tubes":2.5}|},
+        "job: missing or ill-typed member \"max_extra_tubes\" (expected \
+         int) (member=max_extra_tubes)" );
+      ( {|{"kind":"dse"}|},
+        "job: missing or ill-typed member \"cell\" (expected string) \
+         (member=cell)" );
+      ( {|{"kind":"dse","cell":"NAND2","style":"fancy"}|},
+        "dse job: unknown style \"fancy\" (expected new, old, vulnerable or \
+         cmos) (style=fancy)" );
+      ( {|{"kind":"dse","cell":"NAND2","pitches":"x","style":"fancy"}|},
+        "dse job: unknown style \"fancy\" (expected new, old, vulnerable or \
+         cmos) (style=fancy)" );
+      ( {|{"kind":"dse","cell":"NAND2","pitches":"x"}|},
+        "job: missing or ill-typed member \"pitches\" (expected array) \
+         (member=pitches)" );
+      ( {|{"kind":"dse","cell":"NAND2","pitches":[4,"x"]}|},
+        "dse job: pitches must be an array of numbers (member=pitches)" );
+      ( {|{"kind":"dse","cell":"NAND2","p_metallic":[true]}|},
+        "dse job: p_metallic must be an array of numbers (member=p_metallic)" );
+      ( {|{"kind":"dse","cell":"NAND2","removal":[null]}|},
+        "dse job: removal must be an array of numbers (member=removal)" );
+      ( {|{"kind":"dse","cell":"NAND2","drives":[1.5]}|},
+        "dse job: drives must be an array of ints (member=drives)" );
+      ( {|{"kind":"dse","cell":"NAND2","drives":"x"}|},
+        "job: missing or ill-typed member \"drives\" (expected array) \
+         (member=drives)" );
+      ( {|{"kind":"dse","cell":"NAND2","drives":[1.5],"pitches":[true]}|},
+        "dse job: pitches must be an array of numbers (member=pitches)" );
+      ( {|{"kind":"dse","cell":"NAND2","schemes":["s3"]}|},
+        "dse job: schemes must be an array of \"s1\" / \"s2\" \
+         (member=schemes)" );
+      ( {|{"kind":"dse","cell":"NAND2","schemes":[1]}|},
+        "dse job: schemes must be an array of \"s1\" / \"s2\" \
+         (member=schemes)" );
+      ( {|{"kind":"dse","cell":"NAND2","schemes":"s1"}|},
+        "job: missing or ill-typed member \"schemes\" (expected array) \
+         (member=schemes)" );
+      ( {|{"kind":"dse","cell":"NAND2","load":"x"}|},
+        "job: missing or ill-typed member \"load\" (expected int) \
+         (member=load)" );
+      ( {|{"kind":"dse","cell":"NAND2","max_trials":"x"}|},
+        "job: missing or ill-typed member \"max_trials\" (expected int) \
+         (member=max_trials)" );
+      ( {|{"kind":"dse","cell":"NAND2","seed":1.5}|},
+        "job: missing or ill-typed member \"seed\" (expected int) \
+         (member=seed)" );
+      ( {|{"kind":"dse","cell":"NAND2","adaptive":"yes"}|},
+        "job: missing or ill-typed member \"adaptive\" (expected bool) \
+         (member=adaptive)" );
+    ]
+  in
+  List.iter
+    (fun (s, expected) ->
+      match Job.of_json (Result.get_ok (Json.of_string s)) with
+      | Ok _ -> Alcotest.failf "accepted %s" s
+      | Error d ->
+        check_str s ("service.protocol: error: " ^ expected)
+          (Core.Diag.to_string d))
+    exact
 
 let job_validate_and_digest () =
   checkb "unknown cell rejected" true
@@ -220,6 +426,150 @@ let digest_floats_exact () =
         Job.digest (Job.dse ~pitches:[ 4.; 5. ] "NAND2"),
         Job.digest (Job.dse ~pitches:[ 4.; 5.0000001 ] "NAND2") );
     ]
+
+(* Adjacent doubles that "%g" printed alike (0.570423) used to share the
+   placement pass's cache entry, so the second of two flow jobs was
+   served the first job's placement. *)
+let flow_pass_cache_exact_aspect () =
+  let a = 0.57042253521126751 and b = 0.57042253521126762 in
+  checkb "adjacent doubles" true (Float.succ a = b);
+  let spec_digest doc =
+    Option.get (Option.bind (Json.member "spec_digest" doc) Json.to_str)
+  in
+  Parallel.Pool.with_pool ~domains:1 (fun pool ->
+      let run pass_cache aspect =
+        match
+          Service.Runner.run ~pool ~pass_cache (Job.flow ~aspect Job.Full_adder)
+        with
+        | Ok doc -> doc
+        | Error d -> Alcotest.fail (Core.Diag.to_string d)
+      in
+      let shared = Core.Pass.cache_create () in
+      let doc_a = run shared a in
+      let doc_b = run shared b in
+      let fresh_b = run (Core.Pass.cache_create ()) b in
+      checkb "the two aspects place differently" true
+        (Json.to_string fresh_b <> Json.to_string doc_a);
+      check_str "second document equals a fresh run" (Json.to_string fresh_b)
+        (Json.to_string doc_b);
+      checkb "spec digests differ" true
+        (spec_digest doc_a <> spec_digest doc_b))
+
+(* --- job codec and digest properties --- *)
+
+let full_adder_text = Flow.Netlist_ir.to_string (Flow.Full_adder.netlist ())
+
+(* Valid jobs of every kind.  Each field draws from a small set (floats
+   mostly from a double and its successor), so two draws often differ
+   in a single field and the digest property probes near-duplicates. *)
+let job_gen =
+  let open QCheck.Gen in
+  let cell = oneofl [ "INV"; "NAND2"; "NOR3"; "AOI21" ] in
+  let style = oneofl Layout.Cell.[ Immune_new; Immune_old; Vulnerable; Cmos ] in
+  let scheme = oneofl [ `S1; `S2 ] in
+  let small lo = int_range lo (lo + 1) in
+  let near x lo hi =
+    frequency [ (3, oneofl [ x; Float.succ x ]); (1, float_range lo hi) ]
+  in
+  let axis x lo hi = list_size (int_range 1 2) (near x lo hi) in
+  let flow =
+    let+ source =
+      oneof
+        [
+          return Job.Full_adder;
+          map (fun bits -> Job.Ripple bits) (small 4);
+          map
+            (fun text -> Job.Netlist_text text)
+            (oneofl [ full_adder_text; "design inv\ninst u1 INV 4 A=a Z=b\n" ]);
+          map
+            (fun spec -> Job.Generated spec)
+            (oneofl [ "mult8"; "lfsr16x20" ]);
+        ]
+    and+ scheme
+    and+ aspect = near 0.57042253521126751 0.1 4. in
+    Job.flow ~scheme ~aspect source
+  in
+  let fault =
+    let+ cell
+    and+ drive = small 1
+    and+ style
+    and+ trials = small 60
+    and+ tracks_per_trial = small 0
+    and+ max_angle_deg = near 8. 0. 90.
+    and+ seed = small 42 in
+    Job.fault ~drive ~style ~trials ~tracks_per_trial ~max_angle_deg ~seed cell
+  in
+  let characterize =
+    let+ cell
+    and+ drive = small 1
+    and+ loads = list_size (int_range 1 2) (small 1) in
+    Job.characterize ~drive ~loads cell
+  in
+  let testgen =
+    let+ cell
+    and+ drive = small 1
+    and+ style
+    and+ scheme
+    and+ trials = small 60
+    and+ tracks_per_trial = small 0
+    and+ max_angle_deg = near 8. 0. 90.
+    and+ seed = small 42
+    and+ max_spares = small 1
+    and+ p_good = near 0.9 0. 1.
+    and+ max_extra_tubes = small 3 in
+    Job.testgen ~drive ~style ~scheme ~trials ~tracks_per_trial ~max_angle_deg
+      ~seed ~max_spares ~p_good ~max_extra_tubes cell
+  in
+  let dse =
+    let+ cell
+    and+ style
+    and+ pitches = axis 4. 1. 20.
+    and+ p_metallic = axis 0.1 0. 1.
+    and+ removal = axis 0.999 0. 1.
+    and+ drives = list_size (int_range 1 2) (small 1)
+    and+ schemes = oneofl [ [ `S1 ]; [ `S2 ]; [ `S1; `S2 ] ]
+    and+ load = small 2
+    and+ max_trials = small 60
+    and+ seed = small 42
+    and+ adaptive = bool in
+    Job.dse ~style ~pitches ~p_metallic ~removal ~drives ~schemes ~load
+      ~max_trials ~seed ~adaptive cell
+  in
+  oneof [ flow; fault; characterize; testgen; dse ]
+
+let wire j = Json.to_string (Job.to_json j)
+
+let job_codec_roundtrip_prop =
+  QCheck.Test.make ~name:"job codec round-trips every valid job" ~count:500
+    (QCheck.make ~print:wire job_gen)
+    (fun j ->
+      Job.validate j = Ok ()
+      && Job.of_json (Job.to_json j) = Ok j
+      && Job.of_json (Result.get_ok (Json.of_string (wire j))) = Ok j)
+
+(* The one digest shared by design: the full adder by name and the same
+   netlist spelled out. *)
+let canonical = function
+  | Job.Flow ({ source = Job.Netlist_text t; _ } as f) when t = full_adder_text
+    ->
+    Job.Flow { f with source = Job.Full_adder }
+  | j -> j
+
+let job_digest_injective_prop =
+  QCheck.Test.make ~name:"jobs share a digest only when their JSON is equal"
+    ~count:300
+    (QCheck.make
+       ~print:(fun js -> String.concat "\n" (List.map wire js))
+       QCheck.Gen.(list_size (return 8) job_gen))
+    (fun jobs ->
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              wire (canonical a) = wire (canonical b)
+              = (Job.digest a = Job.digest b))
+            jobs)
+        jobs)
 
 (* max_angle_deg must be a finite angle in [0, 90]: a JSON 1e999 parses to
    infinity, and an infinite angle sprays NaN tracks that cross nothing.
@@ -634,11 +984,6 @@ let protocol_backpressure_visible () =
         checkb "carries the diagnostic" true
           (Json.member "error" e <> None)
       | _ -> Alcotest.fail "one rejection event expected")
-
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 (* a wrongly-typed optional member is a visible rejection naming the
    field, never a silent fallback to the default *)
@@ -1183,6 +1528,34 @@ let stale_socket_replaced () =
       Thread.join server;
       checkb "socket file removed at exit" false (Sys.file_exists path))
 
+(* A request that is not valid UTF-8 gets exactly one error reply, which
+   is itself valid UTF-8, and queues nothing. *)
+let invalid_utf8_request_rejected () =
+  let config = { Scheduler.default_config with clock = Scheduler.Virtual } in
+  Scheduler.with_scheduler ~config (fun t ->
+      let submit trace_id =
+        {|{"op":"submit","job":{"kind":"fault","cell":"NAND2","trials":40},|}
+        ^ {|"trace_id":"|} ^ trace_id ^ {|"}|}
+      in
+      List.iter
+        (fun line ->
+          match Server.handle t line with
+          | [ e ] ->
+            let reply = Json.to_string e in
+            checkb (reply ^ " is UTF-8") true (String.is_valid_utf_8 reply);
+            check_str (reply ^ " is an error") "error"
+              (Option.get (Option.bind (Json.member "event" e) Json.to_str))
+          | es ->
+            Alcotest.failf "%S: expected one reply, got %d" line
+              (List.length es))
+        [
+          submit "t\xff";
+          submit {|\ud800|};
+          "{\"op\":\xff}";
+          "{\"op\":\xc3\xa9}";
+        ];
+      check_int "nothing queued" 0 (Scheduler.stats t).Scheduler.queued)
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick json_roundtrip;
@@ -1192,11 +1565,16 @@ let suite =
     QCheck_alcotest.to_alcotest json_float_roundtrip_prop;
     Alcotest.test_case "json unicode escape rejects" `Quick
       json_unicode_escape_rejects;
+    Alcotest.test_case "json strict utf-8" `Quick json_strict_utf8;
     Alcotest.test_case "job codec roundtrip" `Quick job_codec_roundtrip;
     Alcotest.test_case "job codec rejects" `Quick job_codec_rejects;
     Alcotest.test_case "job validate and digest" `Quick
       job_validate_and_digest;
     Alcotest.test_case "digest floats exact" `Quick digest_floats_exact;
+    Alcotest.test_case "flow pass cache keys exact aspect" `Quick
+      flow_pass_cache_exact_aspect;
+    QCheck_alcotest.to_alcotest job_codec_roundtrip_prop;
+    QCheck_alcotest.to_alcotest job_digest_injective_prop;
     Alcotest.test_case "job angle range" `Quick job_angle_range;
     Alcotest.test_case "replay invariant across domains" `Slow
       replay_domain_invariance;
@@ -1218,6 +1596,8 @@ let suite =
       protocol_backpressure_visible;
     Alcotest.test_case "submit wrong-type rejected" `Quick
       submit_wrong_type_rejected;
+    Alcotest.test_case "invalid utf-8 request rejected" `Quick
+      invalid_utf8_request_rejected;
     Alcotest.test_case "socket roundtrip" `Quick socket_roundtrip;
     Alcotest.test_case "socket client killed mid-response" `Quick
       socket_client_killed_mid_response;

@@ -449,6 +449,186 @@ let counter_merge_commutative =
     (fun (a, b) ->
       Telemetry.merge_counters a b = Telemetry.merge_counters b a)
 
+(* --- every exporter prints JSON that parses back --- *)
+
+module Json = Core.Json
+
+(* UTF-8 strings made of what JSON must escape or pass through intact:
+   quotes, backslashes, control characters and multi-byte sequences *)
+let tricky =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (int_range 0 6)
+         (oneofl
+            [ "a"; "\""; "\\"; "\n"; "\t"; "\x01"; "\x1f"; "\x7f"; "\xc3\xa9";
+              "\xe2\x82\xac"; "\xf0\x9f\x98\x80" ])))
+
+let finite =
+  QCheck.Gen.map
+    (fun f -> if Float.is_finite f then f else 0.5)
+    QCheck.Gen.float
+
+let attr_value =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> Telemetry.Int i) small_signed_int;
+        map (fun f -> Telemetry.Float f) finite;
+        map (fun s -> Telemetry.String s) tricky;
+        map (fun b -> Telemetry.Bool b) bool;
+      ])
+
+let same_value v j =
+  match (v, j) with
+  | Telemetry.Int i, j -> Json.to_int j = Some i
+  | Telemetry.Float f, Json.Num g -> Float.equal f g
+  | Telemetry.String s, j -> Json.to_str j = Some s
+  | Telemetry.Bool b, j -> Json.to_bool j = Some b
+  | _ -> false
+
+type exports = {
+  snap : Telemetry.snapshot;
+  event : Telemetry.Events.event;
+  report : Core.Pass.report;
+  diag : Core.Diag.t;
+}
+
+let exports_gen =
+  let open QCheck.Gen in
+  let list g = list_size (int_range 0 4) g in
+  let attrs = list (pair tricky attr_value) in
+  let span =
+    let+ name = tricky
+    and+ parent = opt tricky
+    and+ start = int_range 0 1_000_000
+    and+ dur = int_range 0 1_000_000
+    and+ attrs
+    and+ instant = bool in
+    {
+      Telemetry.name;
+      parent;
+      start_ns = Int64.of_int start;
+      dur_ns = Int64.of_int dur;
+      attrs;
+      shard = 0;
+      instant;
+    }
+  in
+  let hist =
+    map
+      (List.fold_left Telemetry.Hist.observe
+         (Telemetry.Hist.create ~buckets:[| 0.5; 2.5 |]))
+      (list finite)
+  in
+  let pass =
+    let+ pass_name = tricky
+    and+ wall_s = finite
+    and+ cached = bool
+    and+ counters = list (pair tricky small_nat) in
+    { Core.Pass.pass_name; wall_s; cached; counters }
+  in
+  let+ spans = list span
+  and+ counters = list (pair tricky small_nat)
+  and+ gauges = list (pair tricky finite)
+  and+ hists = list (pair tricky hist)
+  and+ kind = tricky
+  and+ trace_id = opt tricky
+  and+ event_attrs = attrs
+  and+ ts_ms = finite
+  and+ passes = list pass
+  and+ total_s = finite
+  and+ severity = oneofl Core.Diag.[ Error; Warning; Info ]
+  and+ stage = tricky
+  and+ message = tricky
+  and+ context = list (pair tricky tricky) in
+  {
+    snap = { Telemetry.spans; counters; gauges; hists };
+    event =
+      {
+        Telemetry.Events.seq = 0;
+        ts_ms;
+        kind;
+        trace_id;
+        (* an attr named like an envelope key must not duplicate it *)
+        attrs = event_attrs @ [ ("kind", Telemetry.Bool true) ];
+      };
+    report = { Core.Pass.passes; total_s };
+    diag = Core.Diag.make ~severity ~context ~stage message;
+  }
+
+let exporters_parse_back =
+  QCheck.Test.make ~name:"every exporter prints JSON that parses back"
+    ~count:300 (QCheck.make exports_gen) (fun x ->
+      let parse what s =
+        match Json.of_string s with
+        | Ok v -> v
+        | Error e -> QCheck.Test.fail_reportf "%s: %s in %S" what e s
+      in
+      let get k j = Option.get (Json.member k j) in
+      let arr j = Option.get (Json.to_list j) in
+      let keys = function Json.Obj kvs -> List.map fst kvs | _ -> [] in
+      let same_names kvs j = keys j = List.map fst kvs in
+      let summary = parse "summary" (Telemetry.summary_to_json x.snap) in
+      let span_names =
+        List.filter_map
+          (fun sp ->
+            if sp.Telemetry.instant then None else Some sp.Telemetry.name)
+          x.snap.Telemetry.spans
+        |> List.sort_uniq String.compare
+      in
+      let trace =
+        arr (get "traceEvents" (parse "trace" (Telemetry.chrome_trace x.snap)))
+      in
+      let event = parse "event" (Telemetry.Events.to_json x.event) in
+      let event_keys =
+        [ "seq"; "ts_ms"; "kind" ]
+        @ Option.fold ~none:[] ~some:(fun _ -> [ "trace_id" ])
+            x.event.Telemetry.Events.trace_id
+        @ List.map
+            (fun (k, _) -> if k = "kind" then "attr_kind" else k)
+            x.event.Telemetry.Events.attrs
+      in
+      let report = parse "report" (Core.Pass.report_to_json x.report) in
+      let diag = parse "diag" (Json.to_string (Core.Diag.to_json x.diag)) in
+      let of_json = Core.Diag.of_json ~stage:"" ~message:"" in
+      List.map (fun s -> Json.to_str (get "name" s)) (arr (get "spans" summary))
+      = List.map Option.some span_names
+      && same_names x.snap.Telemetry.counters (get "counters" summary)
+      && List.for_all2
+           (fun (_, v) (_, j) -> Json.to_float j = Some v)
+           x.snap.Telemetry.gauges
+           (match get "gauges" summary with Json.Obj kvs -> kvs | _ -> [])
+      && same_names x.snap.Telemetry.hists (get "histograms" summary)
+      && List.for_all2
+           (fun sp e ->
+             let args = get "args" e in
+             let attrs =
+               match sp.Telemetry.parent with
+               | Some p -> ("parent", Telemetry.String p) :: sp.Telemetry.attrs
+               | None -> sp.Telemetry.attrs
+             in
+             Json.to_str (get "name" e) = Some sp.Telemetry.name
+             && same_names attrs args
+             && List.for_all2
+                  (fun (_, v) (_, j) -> same_value v j)
+                  attrs
+                  (match args with Json.Obj kvs -> kvs | _ -> []))
+           x.snap.Telemetry.spans trace
+      && keys event = event_keys
+      && Json.to_str (get "kind" event) = Some x.event.Telemetry.Events.kind
+      && Option.bind (Json.member "trace_id" event) Json.to_str
+         = x.event.Telemetry.Events.trace_id
+      && get "attr_kind" event = Json.Bool true
+      && List.for_all2
+           (fun (p : Core.Pass.pass_report) j ->
+             Json.to_str (get "name" j) = Some p.Core.Pass.pass_name
+             && Json.to_float (get "wall_s" j) = Some p.Core.Pass.wall_s
+             && same_names p.Core.Pass.counters (get "counters" j))
+           x.report.Core.Pass.passes
+           (arr (get "passes" report))
+      && of_json diag = x.diag
+      && of_json (Core.Diag.to_json x.diag) = x.diag)
+
 let suite =
   [
     Alcotest.test_case "span shape domain-independent" `Quick
@@ -481,4 +661,5 @@ let suite =
     QCheck_alcotest.to_alcotest hist_merge_associative;
     QCheck_alcotest.to_alcotest counter_merge_associative;
     QCheck_alcotest.to_alcotest counter_merge_commutative;
+    QCheck_alcotest.to_alcotest exporters_parse_back;
   ]
