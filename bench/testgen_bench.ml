@@ -34,7 +34,7 @@ let run () =
           Printf.printf
             "scheme=%s domains=%d  %7.0f trials/s  failing=%d classes=%d \
              vectors=%d\n%!"
-            (Testgen.Report.scheme_string r.Testgen.Campaign.scheme)
+            (Layout.Cell.scheme_string r.Testgen.Campaign.scheme)
             domains
             (float_of_int trials /. dt)
             d.Testgen.Dictionary.failing

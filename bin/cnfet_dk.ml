@@ -13,24 +13,35 @@
 open Cmdliner
 
 let rules = Pdk.Rules.default
+let ( let* ) = Result.bind
 
 let cell_arg =
   let doc = "Cell name: INV, NAND2, NAND3, NOR2, NOR3, AOI21, AOI22, OAI21, \
              OAI22, AOI31." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CELL" ~doc)
 
+let cell_opt_arg =
+  Arg.(required
+       & opt (some string) None
+       & info [ "cell" ] ~docv:"CELL"
+           ~doc:"Cell name: INV, NAND2, NOR2, AOI21, OAI21, ...")
+
 let drive_arg =
   let doc = "Base transistor width in lambda." in
   Arg.(value & opt int 4 & info [ "drive"; "d" ] ~docv:"LAMBDA" ~doc)
 
 let style_arg =
-  let styles =
-    [ ("new", Layout.Cell.Immune_new); ("old", Layout.Cell.Immune_old);
-      ("vulnerable", Layout.Cell.Vulnerable); ("cmos", Layout.Cell.Cmos) ]
-  in
   let doc = "Layout style: new, old, vulnerable or cmos." in
-  Arg.(value & opt (enum styles) Layout.Cell.Immune_new
+  Arg.(value & opt (enum Layout.Cell.styles) Layout.Cell.Immune_new
        & info [ "style" ] ~docv:"STYLE" ~doc)
+
+(* test-gen and dse: an immune cell yields an empty dictionary and a
+   trivial yield, so the style under test defaults to vulnerable *)
+let layout_style_arg =
+  Arg.(value
+       & opt (enum Layout.Cell.styles) Layout.Cell.Vulnerable
+       & info [ "layout" ] ~docv:"STYLE"
+           ~doc:"Layout style under test: new, old, vulnerable or cmos.")
 
 let scheme_arg =
   let schemes = [ ("1", Layout.Cell.Scheme1); ("2", Layout.Cell.Scheme2) ] in
@@ -38,14 +49,24 @@ let scheme_arg =
   Arg.(value & opt (enum schemes) Layout.Cell.Scheme1
        & info [ "scheme" ] ~docv:"SCHEME" ~doc)
 
+(* the scheme values of test-gen and dse jobs, spelled as jobs spell them *)
+let scheme_tags =
+  List.map (fun s -> (Service.Job.scheme_string s, s)) [ `S1; `S2 ]
+
+let trials_arg =
+  Arg.(value & opt int 1000 & info [ "trials" ] ~docv:"N"
+         ~doc:"Monte-Carlo trials.")
+
+let angle_arg =
+  Arg.(value & opt float 8. & info [ "angle" ] ~docv:"DEG"
+         ~doc:"Maximum misposition angle, degrees.")
+
+let domains_arg doc =
+  Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N" ~doc)
+
 let gds_arg =
   let doc = "Write the layout to this GDSII file." in
   Arg.(value & opt (some string) None & info [ "gds" ] ~docv:"FILE" ~doc)
-
-let find_cell name =
-  match Logic.Cell_fun.find_opt name with
-  | Some fn -> Ok fn
-  | None -> Error (`Msg ("unknown cell " ^ name))
 
 (* Structured errors from the libraries surface as [Diag] values; the CLI
    prints them and maps them to exit code 2. *)
@@ -56,66 +77,92 @@ let diag_exit d =
 let or_diag_exit f =
   try f () with Core.Diag.Failure d -> diag_exit d
 
-(* Telemetry flags shared by the fault and flow subcommands: --telemetry
-   prints the merged metrics/span summary after the run, --trace-out
-   writes a Chrome trace_event file (about://tracing, Perfetto).  Either
-   flag switches recording on; without both, telemetry stays a no-op. *)
+(* Telemetry flags shared by the compute subcommands and serve:
+   --telemetry prints the merged metrics/span summary after the run,
+   --trace-out writes a Chrome trace_event file (about://tracing,
+   Perfetto).  Either flag switches recording on; without both,
+   telemetry stays a no-op. *)
 
-let telemetry_arg =
-  let doc =
-    "Record telemetry (spans + metrics) and print the summary after the \
-     run, as $(docv) (text or json).  Plain --telemetry means text."
+let telemetry_args =
+  let telemetry =
+    let doc =
+      "Record telemetry (spans + metrics) and print the summary after the \
+       run, as $(docv) (text or json).  Plain --telemetry means text."
+    in
+    Arg.(value
+         & opt ~vopt:(Some `Text)
+             (some (enum [ ("text", `Text); ("json", `Json) ]))
+             None
+         & info [ "telemetry" ] ~docv:"FORMAT" ~doc)
   in
-  Arg.(value
-       & opt ~vopt:(Some `Text)
-           (some (enum [ ("text", `Text); ("json", `Json) ]))
-           None
-       & info [ "telemetry" ] ~docv:"FORMAT" ~doc)
-
-let trace_out_arg =
-  let doc =
-    "Write a Chrome trace_event JSON of the run to $(docv) (open in \
-     about://tracing or Perfetto).  Implies telemetry recording."
+  let trace_out =
+    let doc =
+      "Write a Chrome trace_event JSON of the run to $(docv) (open in \
+       about://tracing or Perfetto).  Implies telemetry recording."
+    in
+    Arg.(value & opt (some string) None
+         & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+  Term.(const (fun t o -> (t, o)) $ telemetry $ trace_out)
 
-let telemetry_wanted telemetry trace_out =
-  telemetry <> None || trace_out <> None
-
-let telemetry_start telemetry trace_out =
-  if telemetry_wanted telemetry trace_out then begin
+let telemetry_start = function
+  | None, None -> ()
+  | _ ->
     Telemetry.reset ();
     Telemetry.enable ()
-  end
 
-let telemetry_finish telemetry trace_out =
-  if telemetry_wanted telemetry trace_out then begin
+(* the summary and the trace note go to [oc]: stdout, or stderr where
+   stdout carries the NDJSON stream *)
+let telemetry_finish oc = function
+  | None, None -> ()
+  | telemetry, trace_out -> (
     Telemetry.disable ();
     let snap = Telemetry.collect () in
     (match trace_out with
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Telemetry.chrome_trace snap);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote trace %s\n" path
+      Out_channel.with_open_text path (fun t ->
+          output_string t (Telemetry.chrome_trace snap);
+          output_char t '\n');
+      Printf.fprintf oc "wrote trace %s\n" path
     | None -> ());
     match telemetry with
-    | Some `Text -> print_string (Telemetry.summary_to_text snap)
-    | Some `Json -> print_endline (Telemetry.summary_to_json snap)
-    | None -> ()
-  end
+    | Some `Text -> output_string oc (Telemetry.summary_to_text snap)
+    | Some `Json -> Printf.fprintf oc "%s\n" (Telemetry.summary_to_json snap)
+    | None -> ())
+
+(* The compute subcommands are clients of the job runner.  [job] passes
+   the service's admission check (a rejected flag or an unknown cell
+   exits 2 with the same diagnostic a served submission gets), [run]
+   executes it on a pool of [domains] inside the telemetry window, and
+   [print] renders the typed result and returns the exit code. *)
+let run_job ?(domains = 1) tel job run print =
+  match Service.Job.validate job with
+  | Error d -> diag_exit d
+  | Ok () -> (
+    telemetry_start tel;
+    match Parallel.Pool.with_pool ~domains (fun pool -> run ~pool) with
+    | Error d -> diag_exit d
+    | Ok r ->
+      let code = print r in
+      telemetry_finish stdout tel;
+      code)
 
 (* layout *)
 
 let layout_cmd =
   let run name drive style scheme gds =
-    match find_cell name with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok fn ->
-      match Layout.Cell.make ~rules ~fn ~style ~scheme ~drive with
-      | Error d -> diag_exit d
-      | Ok cell ->
+    match
+      let* fn =
+        match Logic.Cell_fun.find_opt name with
+        | Some fn -> Ok fn
+        | None ->
+          Core.Diag.failf ~stage:"cell" ~context:[ ("cell", name) ]
+            "unknown cell function %s" name
+      in
+      Layout.Cell.make ~rules ~fn ~style ~scheme ~drive
+    with
+    | Error d -> diag_exit d
+    | Ok cell ->
       print_endline (Layout.Render.cell cell);
       Printf.printf
         "\ncell %s: %dx%d lambda, active %d lambda^2, footprint %d lambda^2\n"
@@ -141,100 +188,54 @@ let layout_cmd =
 (* fault *)
 
 let fault_cmd =
-  let trials =
-    Arg.(value & opt int 1000 & info [ "trials" ] ~docv:"N"
-           ~doc:"Monte-Carlo trials.")
-  in
-  let angle =
-    Arg.(value & opt float 8. & info [ "angle" ] ~docv:"DEG"
-           ~doc:"Maximum misposition angle, degrees.")
-  in
   let domains =
-    Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N"
-           ~doc:"Worker domains for the Monte-Carlo campaign (1 = serial). \
-                 The outcome is bit-identical for every N: trials seed \
-                 their RNG from (seed, trial index), not from the worker.")
+    domains_arg
+      "Worker domains for the Monte-Carlo campaign (1 = serial). The \
+       outcome is bit-identical for every N: trials seed their RNG from \
+       (seed, trial index), not from the worker."
   in
-  let run name drive style trials angle domains telemetry trace_out =
-    match find_cell name with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok fn ->
-      match
-        Layout.Cell.make ~rules ~fn ~style ~scheme:Layout.Cell.Scheme1 ~drive
-      with
-      | Error d -> diag_exit d
-      | Ok cell ->
-      telemetry_start telemetry trace_out;
-      match
-        Fault.Injector.run ~domains
-          { Fault.Injector.default_config with
-            Fault.Injector.trials; max_angle_deg = angle }
-          cell
-      with
-      | exception Invalid_argument m -> prerr_endline ("cnfet_dk: " ^ m); 2
-      | o ->
-      Printf.printf
-        "%s: %d/%d functional failures (%.2f%%), %d shorted (%d fight, %d \
-         float), %d stray CNTs\n"
-        cell.Layout.Cell.name o.Fault.Injector.functional_failures o.Fault.Injector.trials
-        (100. *. Fault.Injector.failure_rate o)
-        o.Fault.Injector.shorted_trials o.Fault.Injector.fight_trials
-        o.Fault.Injector.float_trials o.Fault.Injector.stray_edges;
-      (match Fault.Injector.horizontal_sweep cell with
-      | Ok () -> print_endline "horizontal sweep: immune in every corridor"
-      | Error ys ->
-        Printf.printf "horizontal sweep: FAILS in %d corridors\n"
-          (List.length ys));
-      telemetry_finish telemetry trace_out;
-      if o.Fault.Injector.functional_failures = 0 then 0 else 1
+  let run name drive style trials angle domains tel =
+    (* fault has no --tracks or --seed: the job's defaults *)
+    let job =
+      { Service.Job.cell = name; drive; style; trials; tracks_per_trial = 3;
+        max_angle_deg = angle; seed = 42 }
+    in
+    run_job ~domains tel (Service.Job.Fault job) (Service.Runner.fault job)
+    @@ fun (cell, o) ->
+    Printf.printf
+      "%s: %d/%d functional failures (%.2f%%), %d shorted (%d fight, %d \
+       float), %d stray CNTs\n"
+      cell.Layout.Cell.name o.Fault.Injector.functional_failures
+      o.Fault.Injector.trials
+      (100. *. Fault.Injector.failure_rate o)
+      o.Fault.Injector.shorted_trials o.Fault.Injector.fight_trials
+      o.Fault.Injector.float_trials o.Fault.Injector.stray_edges;
+    (match Fault.Injector.horizontal_sweep cell with
+    | Ok () -> print_endline "horizontal sweep: immune in every corridor"
+    | Error ys ->
+      Printf.printf "horizontal sweep: FAILS in %d corridors\n"
+        (List.length ys));
+    if o.Fault.Injector.functional_failures = 0 then 0 else 1
   in
   let doc = "Inject mispositioned CNTs and check functional immunity." in
   Cmd.v (Cmd.info "fault" ~doc)
-    Term.(const run $ cell_arg $ drive_arg $ style_arg $ trials $ angle
-          $ domains $ telemetry_arg $ trace_out_arg)
+    Term.(const run $ cell_arg $ drive_arg $ style_arg $ trials_arg
+          $ angle_arg $ domains $ telemetry_args)
 
 (* test-gen *)
 
 let test_gen_cmd =
-  let cell_named =
-    Arg.(required
-         & opt (some string) None
-         & info [ "cell" ] ~docv:"CELL"
-             ~doc:"Cell name: INV, NAND2, NOR2, AOI21, OAI21, ...")
-  in
-  let style_scheme =
+  let scheme =
     (* here --style is the paper's scheme axis (s1 stacked, s2 side by
-       side); the layout style is --layout, defaulting to vulnerable —
-       an immune cell yields an empty dictionary by construction. *)
-    let schemes =
-      [ ("s1", Layout.Cell.Scheme1); ("s2", Layout.Cell.Scheme2) ]
-    in
+       side); the layout style is --layout *)
     Arg.(value
-         & opt (enum schemes) Layout.Cell.Scheme1
+         & opt (enum scheme_tags) `S1
          & info [ "style" ] ~docv:"SCHEME"
              ~doc:"Standard-cell scheme: s1 (stacked) or s2 (side by side).")
-  in
-  let layout_style =
-    let styles =
-      [ ("new", Layout.Cell.Immune_new); ("old", Layout.Cell.Immune_old);
-        ("vulnerable", Layout.Cell.Vulnerable); ("cmos", Layout.Cell.Cmos) ]
-    in
-    Arg.(value
-         & opt (enum styles) Layout.Cell.Vulnerable
-         & info [ "layout" ] ~docv:"STYLE"
-             ~doc:"Layout style under test: new, old, vulnerable or cmos.")
-  in
-  let trials =
-    Arg.(value & opt int 1000 & info [ "trials" ] ~docv:"N"
-           ~doc:"Monte-Carlo trials.")
   in
   let tracks =
     Arg.(value & opt int 3 & info [ "tracks" ] ~docv:"N"
            ~doc:"Stray CNT tracks sprayed per trial.")
-  in
-  let angle =
-    Arg.(value & opt float 8. & info [ "angle" ] ~docv:"DEG"
-           ~doc:"Maximum misposition angle, degrees.")
   in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N"
@@ -253,8 +254,7 @@ let test_gen_cmd =
            ~doc:"Redundancy curve extent beyond the required N tubes.")
   in
   let domains =
-    Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N"
-           ~doc:"Worker domains; the result is bit-identical for every N.")
+    domains_arg "Worker domains; the result is bit-identical for every N."
   in
   let json =
     Arg.(value & flag & info [ "json" ]
@@ -262,66 +262,32 @@ let test_gen_cmd =
                  job service returns for testgen jobs).")
   in
   let run name drive scheme style trials tracks angle seed spares p_good
-      extra_tubes domains json telemetry trace_out =
-    match find_cell name with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok fn ->
-      match Layout.Cell.make ~rules ~fn ~style ~scheme ~drive with
-      | Error d -> diag_exit d
-      | Ok cell ->
-      let config =
-        {
-          Testgen.Campaign.fault =
-            {
-              Fault.Injector.default_config with
-              Fault.Injector.trials;
-              tracks_per_trial = tracks;
-              max_angle_deg = angle;
-              seed;
-            };
-          max_spares = spares;
-          p_good;
-          max_extra_tubes = extra_tubes;
-        }
-      in
-      telemetry_start telemetry trace_out;
-      match Testgen.Campaign.run ~domains config cell with
-      | exception Invalid_argument m -> prerr_endline ("cnfet_dk: " ^ m); 2
-      | r ->
-        if json then
-          print_endline (Core.Json.to_string (Service.Runner.testgen_json r))
-        else print_string (Testgen.Report.to_text r);
-        telemetry_finish telemetry trace_out;
-        0
+      extra_tubes domains json tel =
+    let job =
+      { Service.Job.tg_cell = name; tg_drive = drive; tg_style = style;
+        tg_scheme = scheme; tg_trials = trials; tg_tracks_per_trial = tracks;
+        tg_max_angle_deg = angle; tg_seed = seed; tg_max_spares = spares;
+        tg_p_good = p_good; tg_max_extra_tubes = extra_tubes }
+    in
+    run_job ~domains tel (Service.Job.Testgen job) (Service.Runner.testgen job)
+    @@ fun r ->
+    if json then
+      print_endline (Core.Json.to_string (Service.Runner.testgen_json r))
+    else print_string (Testgen.Report.to_text r);
+    0
   in
   let doc =
     "Diagnose a misposition campaign: fault dictionary, minimal \
      distinguishing vector set, spare-track and N-of-M repair curves."
   in
   Cmd.v (Cmd.info "test-gen" ~doc)
-    Term.(const run $ cell_named $ drive_arg $ style_scheme $ layout_style
-          $ trials $ tracks $ angle $ seed $ spares $ p_good $ extra_tubes
-          $ domains $ json $ telemetry_arg $ trace_out_arg)
+    Term.(const run $ cell_opt_arg $ drive_arg $ scheme $ layout_style_arg
+          $ trials_arg $ tracks $ angle_arg $ seed $ spares $ p_good
+          $ extra_tubes $ domains $ json $ telemetry_args)
 
 (* dse *)
 
 let dse_cmd =
-  let cell_named =
-    Arg.(required
-         & opt (some string) None
-         & info [ "cell" ] ~docv:"CELL"
-             ~doc:"Cell name: INV, NAND2, NOR2, AOI21, OAI21, ...")
-  in
-  let layout_style =
-    let styles =
-      [ ("new", Layout.Cell.Immune_new); ("old", Layout.Cell.Immune_old);
-        ("vulnerable", Layout.Cell.Vulnerable); ("cmos", Layout.Cell.Cmos) ]
-    in
-    Arg.(value
-         & opt (enum styles) Layout.Cell.Vulnerable
-         & info [ "layout" ] ~docv:"STYLE"
-             ~doc:"Layout style under test: new, old, vulnerable or cmos.")
-  in
   let pitches =
     Arg.(value & opt (list float) [ 4.; 5.; 6.; 8. ]
          & info [ "pitches" ] ~docv:"NM,..."
@@ -344,7 +310,7 @@ let dse_cmd =
   in
   let schemes =
     Arg.(value
-         & opt (list (enum [ ("s1", `S1); ("s2", `S2) ])) [ `S1; `S2 ]
+         & opt (list (enum scheme_tags)) [ `S1; `S2 ]
          & info [ "schemes" ] ~docv:"S,..."
              ~doc:"Layout-scheme axis: s1 (stacked), s2 (side by side).")
   in
@@ -367,8 +333,7 @@ let dse_cmd =
                  the evaluation count differs.")
   in
   let domains =
-    Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N"
-           ~doc:"Worker domains; the front is bit-identical for every N.")
+    domains_arg "Worker domains; the front is bit-identical for every N."
   in
   let report =
     Arg.(value
@@ -383,35 +348,26 @@ let dse_cmd =
              ~doc:"Also export the Pareto front as CSV to $(docv).")
   in
   let run name layout pitches p_metallic removal drives schemes load trials
-      seed exhaustive domains report csv telemetry trace_out =
+      seed exhaustive domains report csv tel =
     let job =
-      Service.Job.dse ~style:layout ~pitches ~p_metallic ~removal ~drives
-        ~schemes ~load ~max_trials:trials ~seed ~adaptive:(not exhaustive)
-        name
+      { Service.Job.dse_cell = name; dse_style = layout;
+        dse_pitches = pitches; dse_p_metallic = p_metallic;
+        dse_removal = removal; dse_drives = drives; dse_schemes = schemes;
+        dse_load = load; dse_max_trials = trials; dse_seed = seed;
+        dse_adaptive = not exhaustive }
     in
-    match job with
-    | Service.Job.Dse j -> (
-      match Service.Job.validate job with
-      | Error d -> diag_exit d
-      | Ok () -> (
-        telemetry_start telemetry trace_out;
-        match Dse.Engine.run ~domains (Service.Job.dse_config j) with
-        | Error d -> diag_exit d
-        | Ok o ->
-          (match report with
-          | `Text -> print_string (Dse.Report.text o)
-          | `Json ->
-            print_endline (Core.Json.to_string (Service.Runner.dse_json o)));
-          (match csv with
-          | Some path ->
-            let oc = open_out path in
-            output_string oc (Dse.Report.csv o);
-            close_out oc;
-            Printf.eprintf "wrote front %s\n%!" path
-          | None -> ());
-          telemetry_finish telemetry trace_out;
-          0))
-    | _ -> assert false
+    run_job ~domains tel (Service.Job.Dse job) (Service.Runner.dse job)
+    @@ fun o ->
+    (match report with
+    | `Text -> print_string (Dse.Report.text o)
+    | `Json -> print_endline (Core.Json.to_string (Service.Runner.dse_json o)));
+    (match csv with
+    | Some path ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Dse.Report.csv o));
+      Printf.eprintf "wrote front %s\n%!" path
+    | None -> ());
+    0
   in
   let doc =
     "Design-space exploration: sweep processing knobs (CNT pitch, metallic \
@@ -421,9 +377,9 @@ let dse_cmd =
      front as the exhaustive fine-grid sweep."
   in
   Cmd.v (Cmd.info "dse" ~doc)
-    Term.(const run $ cell_named $ layout_style $ pitches $ p_metallic
+    Term.(const run $ cell_opt_arg $ layout_style_arg $ pitches $ p_metallic
           $ removal $ drives $ schemes $ load $ trials $ seed $ exhaustive
-          $ domains $ report $ csv $ telemetry_arg $ trace_out_arg)
+          $ domains $ report $ csv $ telemetry_args)
 
 (* table1 *)
 
@@ -457,33 +413,41 @@ let characterize_cmd =
   let cmos_flag =
     Arg.(value & flag & info [ "cmos" ] ~doc:"Use the CMOS reference library.")
   in
+  let print ((entry : Stdcell.Library.entry), points) =
+    List.iter
+      (fun (load, arcs) ->
+        Printf.printf "%s (load %d x INV1X):\n" entry.Stdcell.Library.cell_name
+          load;
+        List.iter
+          (fun (a : Stdcell.Characterize.arc) ->
+            Printf.printf
+              "  pin %-3s rise %6.1f ps, fall %6.1f ps, energy %6.2f \
+               fJ/cycle\n"
+              a.Stdcell.Characterize.input
+              (a.Stdcell.Characterize.rise_delay_s *. 1e12)
+              (a.Stdcell.Characterize.fall_delay_s *. 1e12)
+              (a.Stdcell.Characterize.energy_per_cycle_j *. 1e15))
+          arcs)
+      points;
+    0
+  in
   let run name drive load use_cmos =
-    let lib_r =
-      if use_cmos then Stdcell.Library.cmos ~drives:[ drive ] ()
-      else Stdcell.Library.cnfet ~drives:[ drive ] ()
-    in
-    match lib_r with
-    | Error d -> diag_exit d
-    | Ok lib -> (
-      match Stdcell.Library.find lib ~name ~drive with
+    if use_cmos then
+      (* the CMOS reference library has no job kind: a direct call *)
+      match
+        let* lib = Stdcell.Library.cmos ~drives:[ drive ] () in
+        let* entry = Stdcell.Library.find lib ~name ~drive in
+        let* arcs = Stdcell.Characterize.all_arcs ~lib entry ~load_inv1x:load in
+        Ok (entry, [ (load, arcs) ])
+      with
       | Error d -> diag_exit d
-      | Ok entry -> (
-        match Stdcell.Characterize.all_arcs ~lib entry ~load_inv1x:load with
-        | Error d -> diag_exit d
-        | Ok arcs ->
-          Printf.printf "%s (load %d x INV1X):\n"
-            entry.Stdcell.Library.cell_name load;
-          List.iter
-            (fun (a : Stdcell.Characterize.arc) ->
-              Printf.printf
-                "  pin %-3s rise %6.1f ps, fall %6.1f ps, energy %6.2f \
-                 fJ/cycle\n"
-                a.Stdcell.Characterize.input
-                (a.Stdcell.Characterize.rise_delay_s *. 1e12)
-                (a.Stdcell.Characterize.fall_delay_s *. 1e12)
-                (a.Stdcell.Characterize.energy_per_cycle_j *. 1e15))
-            arcs;
-          0))
+      | Ok r -> print r
+    else
+      let job =
+        { Service.Job.char_cell = name; char_drive = drive; loads = [ load ] }
+      in
+      run_job (None, None) (Service.Job.Characterize job)
+        (Service.Runner.characterize job) print
   in
   let doc = "Simulate timing/energy arcs of a library cell." in
   Cmd.v (Cmd.info "characterize" ~doc)
@@ -520,70 +484,53 @@ let flow_cmd =
     Arg.(value & flag & info [ "trace" ]
            ~doc:"Log pass enter/exit events to stderr.")
   in
-  let run path design gds_out scheme2 report trace telemetry trace_out =
-    let netlist_r =
+  let run path design gds_out scheme2 report trace tel =
+    let source =
       match (design, path) with
-      | Some spec, _ -> Flow.Generate.of_spec spec
-      | None, None -> Ok (Flow.Full_adder.netlist ())
+      | Some spec, _ -> Service.Job.Generated spec
+      | None, None -> Service.Job.Full_adder
       | None, Some p ->
-        let ic = open_in p in
-        let n = in_channel_length ic in
-        let text = really_input_string ic n in
-        close_in ic;
-        Flow.Netlist_ir.of_string text
+        Service.Job.Netlist_text
+          (In_channel.with_open_bin p In_channel.input_all)
     in
-    match netlist_r with
-    | Error d -> diag_exit d
-    | Ok netlist -> (
-      let drives =
-        List.sort_uniq Stdlib.compare
-          (List.map
-             (fun (i : Flow.Netlist_ir.instance) -> i.Flow.Netlist_ir.drive)
-             netlist.Flow.Netlist_ir.instances)
-      in
-      match Stdcell.Library.cnfet ~drives () with
-      | Error d -> diag_exit d
-      | Ok lib ->
-        let scheme = if scheme2 then `S2 else `S1 in
-        let spec = Flow.Pipeline.spec_of_netlist ~scheme ~lib netlist in
-        let trace_fn =
-          if trace then
-            Some
-              (fun e ->
-                prerr_endline ("trace: " ^ Core.Pass.trace_event_to_string e))
-          else None
-        in
-        telemetry_start telemetry trace_out;
-        let result, rep = Flow.Pipeline.run ?trace:trace_fn spec in
-        (match result with
-        | Error d ->
-          (match report with
-          | Some `Text -> print_string (Core.Pass.report_to_text rep)
-          | Some `Json | None -> ());
-          telemetry_finish telemetry trace_out;
-          diag_exit d
-        | Ok r ->
-          let p = r.Flow.Pipeline.placement in
-          Printf.printf "%s: %d cells, die %dx%d lambda, utilization %.2f\n"
-            netlist.Flow.Netlist_ir.design
-            (List.length p.Flow.Placer.cells)
-            p.Flow.Placer.die_width p.Flow.Placer.die_height
-            (Flow.Placer.utilization p);
-          let oc = open_out_bin gds_out in
-          output_string oc r.Flow.Pipeline.gds_bytes;
-          close_out oc;
-          Printf.printf "wrote %s\n" gds_out;
-          (match report with
-          | Some `Text -> print_string (Core.Pass.report_to_text rep)
-          | Some `Json -> print_endline (Core.Pass.report_to_json rep)
-          | None -> ());
-          telemetry_finish telemetry trace_out;
-          0))
+    let job =
+      { Service.Job.source; scheme = (if scheme2 then `S2 else `S1);
+        aspect = 1.0 }
+    in
+    let trace =
+      if trace then
+        Some
+          (fun e ->
+            prerr_endline ("trace: " ^ Core.Pass.trace_event_to_string e))
+      else None
+    in
+    run_job tel (Service.Job.Flow job)
+      (fun ~pool:_ -> Service.Runner.flow ?trace job)
+    @@ fun { Service.Runner.outcome; report = rep; _ } ->
+    match outcome with
+    | Error d ->
+      if report = Some `Text then print_string (Core.Pass.report_to_text rep);
+      diag_exit d
+    | Ok r ->
+      let p = r.Flow.Pipeline.placement in
+      Printf.printf "%s: %d cells, die %dx%d lambda, utilization %.2f\n"
+        r.Flow.Pipeline.netlist.Flow.Netlist_ir.design
+        (List.length p.Flow.Placer.cells)
+        p.Flow.Placer.die_width p.Flow.Placer.die_height
+        (Flow.Placer.utilization p);
+      Out_channel.with_open_bin gds_out (fun oc ->
+          output_string oc r.Flow.Pipeline.gds_bytes);
+      Printf.printf "wrote %s\n" gds_out;
+      (match report with
+      | Some `Text -> print_string (Core.Pass.report_to_text rep)
+      | Some `Json -> print_endline (Core.Pass.report_to_json rep)
+      | None -> ());
+      0
   in
   let doc = "Run the staged logic-to-GDSII flow on a netlist." in
   Cmd.v (Cmd.info "flow" ~doc)
     Term.(const run $ netlist_arg $ design_arg $ gds_out $ scheme2 $ report
-          $ trace $ telemetry_arg $ trace_out_arg)
+          $ trace $ telemetry_args)
 
 (* fo4 *)
 
@@ -639,10 +586,9 @@ let fo4_cmd =
 
 let serve_cmd =
   let domains =
-    Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N"
-           ~doc:"Worker domains for intra-job parallelism (campaign \
-                 map-reduce, sweep fan-out).  Job results are \
-                 bit-identical for every N.")
+    domains_arg
+      "Worker domains for intra-job parallelism (campaign map-reduce, \
+       sweep fan-out).  Job results are bit-identical for every N."
   in
   let capacity =
     Arg.(value & opt int 64 & info [ "capacity" ] ~docv:"N"
@@ -747,7 +693,7 @@ let serve_cmd =
   in
   let run domains capacity cache_dir no_cache socket connections max_conns
       idle_timeout_ms rate_limit queue_high_water replay journal workers
-      metrics_out event_log telemetry trace_out =
+      metrics_out event_log tel =
     or_diag_exit @@ fun () ->
     (* the serving layer is always observable: metrics/health/event ops
        must answer with data whether or not a summary was asked for *)
@@ -854,23 +800,7 @@ let serve_cmd =
       Telemetry.Events.set_sink None;
       close_out oc
     | None -> ());
-    (* stdout is the NDJSON stream; the telemetry summary goes to stderr *)
-    if telemetry_wanted telemetry trace_out then begin
-      Telemetry.disable ();
-      let snap = Telemetry.collect () in
-      (match trace_out with
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (Telemetry.chrome_trace snap);
-        output_char oc '\n';
-        close_out oc;
-        Printf.eprintf "wrote trace %s\n" path
-      | None -> ());
-      match telemetry with
-      | Some `Text -> prerr_string (Telemetry.summary_to_text snap)
-      | Some `Json -> prerr_endline (Telemetry.summary_to_json snap)
-      | None -> ()
-    end;
+    telemetry_finish stderr tel;
     0
   in
   let doc =
@@ -882,7 +812,7 @@ let serve_cmd =
     Term.(const run $ domains $ capacity $ cache_dir $ no_cache $ socket
           $ connections $ max_conns $ idle_timeout_ms $ rate_limit
           $ queue_high_water $ replay $ journal $ workers $ metrics_out
-          $ event_log $ telemetry_arg $ trace_out_arg)
+          $ event_log $ telemetry_args)
 
 (* worker: the child end of `serve --workers N`.  A plain stdio NDJSON
    server with no cache dir and no journal of its own — the parent owns
@@ -890,10 +820,7 @@ let serve_cmd =
    `echo '{"op":"submit",...}' | cnfet_dk worker`. *)
 
 let worker_cmd =
-  let domains =
-    Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N"
-           ~doc:"Worker domains for intra-job parallelism.")
-  in
+  let domains = domains_arg "Worker domains for intra-job parallelism." in
   let run domains =
     or_diag_exit @@ fun () ->
     let config =

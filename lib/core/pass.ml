@@ -78,25 +78,28 @@ let cache_entries (c : cache) =
 let no_trace (_ : trace_event) = ()
 
 (* Run one instrumented pass: consult the cache when the pass has a digest
-   function, otherwise just run and time it. *)
+   function, otherwise just run and time it.  The key is computed once,
+   for both the lookup and the store. *)
 let step (type a b) ?cache ~trace (p : (a, b) t) (x : a) :
     (b, Diag.t) result * pass_report =
-  let cached_artifact =
+  let key =
     match (cache, p.digest) with
-    | Some c, Some digest -> (
-      let d = digest x in
-      match Hashtbl.find_opt c p.name with
-      | Some (d', v) when String.equal d d' -> (
-        (* A project failure means the entry was written by a different
-           incarnation of this pass; treat it as a miss. *)
-        match p.project v with
-        | Some artifact -> Some (d, artifact)
-        | None -> None)
-      | _ -> None)
+    | Some c, Some digest -> Some (c, digest x)
     | _ -> None
   in
+  let cached_artifact =
+    match key with
+    | Some (c, d) -> (
+      match Hashtbl.find_opt c p.name with
+      | Some (d', v) when String.equal d d' ->
+        (* A project failure means the entry was written by a different
+           incarnation of this pass; treat it as a miss. *)
+        p.project v
+      | _ -> None)
+    | None -> None
+  in
   match cached_artifact with
-  | Some (_, artifact) ->
+  | Some artifact ->
     (* A digest hit only certifies the digested part of the input; the
        artifact may still embed undigested context (e.g. downstream flow
        parameters threaded through it).  [refresh] reconciles the cached
@@ -116,10 +119,9 @@ let step (type a b) ?cache ~trace (p : (a, b) t) (x : a) :
     let wall_s = Unix.gettimeofday () -. t0 in
     match result with
     | Ok artifact ->
-      (match (cache, p.digest) with
-      | Some c, Some digest ->
-        Hashtbl.replace c p.name (digest x, p.inject artifact)
-      | _ -> ());
+      Option.iter
+        (fun (c, d) -> Hashtbl.replace c p.name (d, p.inject artifact))
+        key;
       let counters =
         match p.counters with Some f -> f artifact | None -> []
       in

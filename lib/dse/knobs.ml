@@ -139,15 +139,3 @@ let max_level s =
     go 0
   in
   Array.fold_left (fun acc n -> max acc (need n)) 0 (axes s)
-
-let scheme_string = function
-  | Layout.Cell.Scheme1 -> "s1"
-  | Layout.Cell.Scheme2 -> "s2"
-
-let scheme_of_string = function
-  | "s1" | "1" -> Ok Layout.Cell.Scheme1
-  | "s2" | "2" -> Ok Layout.Cell.Scheme2
-  | s ->
-    Core.Diag.failf ~stage:"dse.knobs"
-      ~context:[ ("scheme", s) ]
-      "unknown scheme %S (expected s1 or s2)" s

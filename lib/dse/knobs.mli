@@ -68,8 +68,3 @@ val level_indices : int -> int -> int list
 val max_level : space -> int
 (** The coarsest useful level: the smallest [l] whose {!level_indices}
     reduce every axis to its endpoints. *)
-
-val scheme_string : Layout.Cell.scheme -> string
-(** ["s1"] / ["s2"] — the wire encoding shared with the job service. *)
-
-val scheme_of_string : string -> (Layout.Cell.scheme, Core.Diag.t) result

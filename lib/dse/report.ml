@@ -1,9 +1,3 @@
-let style_string = function
-  | Layout.Cell.Immune_new -> "new"
-  | Layout.Cell.Immune_old -> "old"
-  | Layout.Cell.Vulnerable -> "vulnerable"
-  | Layout.Cell.Cmos -> "cmos"
-
 let pruned_count (o : Engine.outcome) =
   List.length (List.filter (fun e -> e.Engine.pruned) o.Engine.evaluated)
 
@@ -11,7 +5,7 @@ let text (o : Engine.outcome) =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "DSE campaign: %s (%s layout), %s sweep over %d points\n"
-       o.Engine.cell (style_string o.Engine.style)
+       o.Engine.cell (Layout.Cell.style_string o.Engine.style)
        (if o.Engine.adaptive then "adaptive" else "exhaustive")
        o.Engine.fine_grid);
   Buffer.add_string b
@@ -25,7 +19,7 @@ let text (o : Engine.outcome) =
            "  %5g  %5g  %7g  %5d %6s %5d  %8.2f  %9.3f  %5.3f [%5.3f, %5.3f]  %6d  %d\n"
            p.Knobs.pitch_nm p.Knobs.p_metallic p.Knobs.removal_eff
            p.Knobs.drive
-           (Knobs.scheme_string p.Knobs.scheme)
+           (Layout.Cell.scheme_string p.Knobs.scheme)
            e.Engine.tubes e.Engine.delay_ps e.Engine.energy_fj e.Engine.yield_
            e.Engine.yield_lo e.Engine.yield_hi e.Engine.trials
            e.Engine.area_lambda2))
@@ -51,7 +45,7 @@ let csv (o : Engine.outcome) =
         (Printf.sprintf "%.6g,%.6g,%.6g,%d,%s,%d,%.6g,%.6g,%.6g,%.6g,%.6g,%d,%d\n"
            p.Knobs.pitch_nm p.Knobs.p_metallic p.Knobs.removal_eff
            p.Knobs.drive
-           (Knobs.scheme_string p.Knobs.scheme)
+           (Layout.Cell.scheme_string p.Knobs.scheme)
            e.Engine.tubes e.Engine.delay_ps e.Engine.energy_fj e.Engine.yield_
            e.Engine.yield_lo e.Engine.yield_hi e.Engine.trials
            e.Engine.area_lambda2))

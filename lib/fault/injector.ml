@@ -103,7 +103,9 @@ let run ?pool ?(domains = 1) config (cell : Layout.Cell.t) =
         ("trials", Telemetry.Int config.trials);
         ("tracks_per_trial", Telemetry.Int config.tracks_per_trial);
         ("seed", Telemetry.Int config.seed);
-        ("domains", Telemetry.Int domains);
+        ("domains",
+         Telemetry.Int
+           (Option.fold ~none:domains ~some:Parallel.Pool.size pool));
       ]
   @@ fun () ->
   let prep = Layout.Cell.prepare cell in

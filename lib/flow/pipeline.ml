@@ -64,9 +64,21 @@ let spec_digest s =
 
 (* Stage artifacts thread the spec along so downstream passes see their
    parameters without the passes themselves being parameterized (they must
-   be top-level values for the artifact cache to work across runs). *)
+   be top-level values for the artifact cache to work across runs).
 
-type staged = { spec : spec; netlist : Netlist_ir.t }
+   The netlist digest keys four passes and hashes the whole serialized
+   netlist, so it travels lazily with the stages: a run computes it at
+   most once, and never when no cache asks for a key.  A [`Netlist]
+   source digest is that same value, shared with the parse key. *)
+
+type input = { in_spec : spec; source_key : string Lazy.t }
+
+type staged = {
+  spec : spec;
+  netlist : Netlist_ir.t;
+  netlist_digest : string Lazy.t;
+}
+
 type placed = { s : staged; placement : Placer.t }
 type laid_out = { p : placed; cells : Layout.Cell.t list }
 
@@ -77,21 +89,22 @@ type laid_out = { p : placed; cells : Layout.Cell.t list }
 
 let parse_pass =
   Core.Pass.make ~name:"parse"
-    ~digest:(fun s -> source_digest s.source)
-    ~refresh:(fun s st -> { st with spec = s })
+    ~digest:(fun i -> Lazy.force i.source_key)
+    ~refresh:(fun i st -> { st with spec = i.in_spec })
     ~counters:(fun st ->
       [ ("instances", List.length st.netlist.Netlist_ir.instances) ])
-    (fun s ->
-      match s.source with
-      | `Netlist n -> Ok { spec = s; netlist = n }
+    (fun { in_spec = spec; source_key } ->
+      match spec.source with
+      | `Netlist netlist -> Ok { spec; netlist; netlist_digest = source_key }
       | `Text t -> (
         match Netlist_ir.of_string t with
-        | Ok n -> Ok { spec = s; netlist = n }
+        | Ok n ->
+          Ok { spec; netlist = n; netlist_digest = lazy (Netlist_ir.digest n) }
         | Error d -> Error d))
 
 let validate_pass =
   Core.Pass.make ~name:"validate"
-    ~digest:(fun st -> Netlist_ir.digest st.netlist)
+    ~digest:(fun st -> Lazy.force st.netlist_digest)
     ~refresh:(fun st _cached -> st)
     ~counters:(fun st ->
       [
@@ -109,7 +122,8 @@ let place_pass =
   Core.Pass.make ~name:"place"
     ~digest:(fun st ->
       Digest.to_hex
-        (Digest.string (Netlist_ir.digest st.netlist ^ place_params st.spec)))
+        (Digest.string
+           (Lazy.force st.netlist_digest ^ place_params st.spec)))
     ~refresh:(fun st p -> { p with s = st })
     ~counters:(fun p ->
       [
@@ -139,7 +153,8 @@ let layout_pass =
   Core.Pass.make ~name:"layout"
     ~digest:(fun p ->
       Digest.to_hex
-        (Digest.string (Netlist_ir.digest p.s.netlist ^ place_params p.s.spec)))
+        (Digest.string
+           (Lazy.force p.s.netlist_digest ^ place_params p.s.spec)))
     ~refresh:(fun p l -> { l with p })
     ~counters:(fun l ->
       [
@@ -177,7 +192,7 @@ let export_pass =
     ~digest:(fun l ->
       Digest.to_hex
         (Digest.string
-           (Netlist_ir.digest l.p.s.netlist ^ place_params l.p.s.spec ^ ":"
+           (Lazy.force l.p.s.netlist_digest ^ place_params l.p.s.spec ^ ":"
           ^ l.p.s.spec.top_name)))
     ~counters:(fun (r : result_t) ->
       [
@@ -234,7 +249,8 @@ let telemetry_trace = function
       n
 
 let run ?cache ?trace s =
-  if not (Telemetry.enabled ()) then Core.Pass.execute ?cache ?trace flow s
+  let input = { in_spec = s; source_key = lazy (source_digest s.source) } in
+  if not (Telemetry.enabled ()) then Core.Pass.execute ?cache ?trace flow input
   else
     Telemetry.with_span "flow"
       ~attrs:
@@ -251,4 +267,4 @@ let run ?cache ?trace s =
           t e;
           telemetry_trace e
     in
-    Core.Pass.execute ?cache ~trace flow s
+    Core.Pass.execute ?cache ~trace flow input

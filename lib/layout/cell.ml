@@ -1,6 +1,18 @@
 type style = Immune_new | Immune_old | Vulnerable | Cmos
 type scheme = Scheme1 | Scheme2
 
+let style_string = function
+  | Immune_new -> "new"
+  | Immune_old -> "old"
+  | Vulnerable -> "vulnerable"
+  | Cmos -> "cmos"
+
+let styles =
+  List.map (fun s -> (style_string s, s))
+    [ Immune_new; Immune_old; Vulnerable; Cmos ]
+
+let scheme_string = function Scheme1 -> "s1" | Scheme2 -> "s2"
+
 type t = {
   name : string;
   fn : Logic.Cell_fun.t;

@@ -15,6 +15,18 @@ type style =
 
 type scheme = Scheme1 | Scheme2
 
+val style_string : style -> string
+(** ["new"], ["old"], ["vulnerable"] or ["cmos"]: the one spelling of a
+    style, shared by the CLI's style flags, the job protocol and every
+    report. *)
+
+val styles : (string * style) list
+(** Every style with its {!style_string}, in declaration order. *)
+
+val scheme_string : scheme -> string
+(** ["s1"] or ["s2"]: the one spelling of a scheme in reports and job
+    documents. *)
+
 type t = {
   name : string;
   fn : Logic.Cell_fun.t;

@@ -115,20 +115,12 @@ let kind = function
   | Testgen _ -> "testgen"
   | Dse _ -> "dse"
 
-let scheme_string = function `S1 -> "s1" | `S2 -> "s2"
+let cell_scheme = function
+  | `S1 -> Layout.Cell.Scheme1
+  | `S2 -> Layout.Cell.Scheme2
 
-let style_string = function
-  | Layout.Cell.Immune_new -> "new"
-  | Layout.Cell.Immune_old -> "old"
-  | Layout.Cell.Vulnerable -> "vulnerable"
-  | Layout.Cell.Cmos -> "cmos"
-
-let style_of_string = function
-  | "new" -> Some Layout.Cell.Immune_new
-  | "old" -> Some Layout.Cell.Immune_old
-  | "vulnerable" -> Some Layout.Cell.Vulnerable
-  | "cmos" -> Some Layout.Cell.Cmos
-  | _ -> None
+let scheme_string s = Layout.Cell.scheme_string (cell_scheme s)
+let style_string = Layout.Cell.style_string
 
 let source_describe = function
   | Full_adder -> "full_adder"
@@ -166,10 +158,6 @@ let stage = "service.job"
 (* The engine owns the knob-space semantics; a dse job is validated by
    building the very config {!Runner} will run. *)
 let dse_config (j : dse_job) =
-  let scheme_of = function
-    | `S1 -> Layout.Cell.Scheme1
-    | `S2 -> Layout.Cell.Scheme2
-  in
   let base = Dse.Engine.default ~cell:j.dse_cell in
   {
     base with
@@ -180,7 +168,7 @@ let dse_config (j : dse_job) =
         p_metallic = Array.of_list j.dse_p_metallic;
         removal_eff = Array.of_list j.dse_removal;
         drives = Array.of_list j.dse_drives;
-        schemes = Array.of_list (List.map scheme_of j.dse_schemes);
+        schemes = Array.of_list (List.map cell_scheme j.dse_schemes);
       };
     load = j.dse_load;
     max_trials = j.dse_max_trials;
@@ -460,7 +448,7 @@ let scheme_of_string = function
   | _ -> None
 
 let style =
-  opt_enum "style" Json.to_str style_of_string
+  opt_enum "style" Json.to_str (fun s -> List.assoc_opt s Layout.Cell.styles)
     ~expected:"new, old, vulnerable or cmos"
 
 let scheme = opt_enum "scheme" lowercase scheme_of_string ~expected:"s1 or s2"

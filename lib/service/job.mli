@@ -123,10 +123,14 @@ val kind : t -> string
     cache-key prefix and the protocol discriminator. *)
 
 val style_string : Layout.Cell.style -> string
-(** ["new"], ["old"], ["vulnerable"] or ["cmos"] — the protocol spelling
-    (matching the CLI's [--style] values). *)
+(** {!Layout.Cell.style_string}, the protocol spelling of a style. *)
 
-val style_of_string : string -> Layout.Cell.style option
+val scheme_string : [ `S1 | `S2 ] -> string
+(** ["s1"] or ["s2"], as {!Layout.Cell.scheme_string} spells the scheme
+    {!cell_scheme} names. *)
+
+val cell_scheme : [ `S1 | `S2 ] -> Layout.Cell.scheme
+(** The layout scheme a testgen or dse job's scheme tag names. *)
 
 val describe : t -> string
 (** One-line human summary for logs and telemetry attributes. *)

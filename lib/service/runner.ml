@@ -2,87 +2,80 @@ let ( let* ) = Result.bind
 
 let rules = Pdk.Rules.default
 
-(* Flow jobs: resolve the source to a netlist, build the library the
-   design needs, run the staged pipeline.  The result document carries
-   sizes and metrics, never timings — see the mli determinism note. *)
-
-let resolve_source = function
-  | Job.Full_adder -> Ok (Flow.Full_adder.netlist ())
-  | Job.Ripple bits -> Flow.Ripple_adder.netlist ~bits
-  | Job.Netlist_text text -> Flow.Netlist_ir.of_string text
-  | Job.Generated spec -> Flow.Generate.of_spec spec
-
-let run_flow ~pass_cache (j : Job.flow_job) =
-  let* netlist = resolve_source j.Job.source in
-  let drives =
-    List.sort_uniq Stdlib.compare
-      (List.map
-         (fun (i : Flow.Netlist_ir.instance) -> i.Flow.Netlist_ir.drive)
-         netlist.Flow.Netlist_ir.instances)
+(* Every exception a kit library may raise becomes a diagnostic naming
+   the job. *)
+let guard job f =
+  let fail m =
+    Core.Diag.fail ~stage:"service.run" ~context:[ ("job", Job.describe job) ] m
   in
-  let* lib = Stdcell.Library.cnfet ~drives () in
-  let spec =
-    Flow.Pipeline.spec_of_netlist ~scheme:j.Job.scheme ~aspect:j.Job.aspect
-      ~lib netlist
-  in
-  let result, _report = Flow.Pipeline.run ~cache:pass_cache spec in
-  let* r = result in
-  let p = r.Flow.Pipeline.placement in
-  Ok
-    (Json.Obj
-       [
-         ("design", Json.Str netlist.Flow.Netlist_ir.design);
-         ("instances",
-          Json.int (List.length netlist.Flow.Netlist_ir.instances));
-         ("unique_cells", Json.int (List.length r.Flow.Pipeline.cells));
-         ("die_width", Json.int p.Flow.Placer.die_width);
-         ("die_height", Json.int p.Flow.Placer.die_height);
-         ("utilization", Json.Num (Flow.Placer.utilization p));
-         ("gds_bytes", Json.int (String.length r.Flow.Pipeline.gds_bytes));
-         ("spec_digest", Json.Str (Flow.Pipeline.spec_digest spec));
-       ])
+  match f () with
+  | r -> r
+  | exception Core.Diag.Failure d -> Error d
+  | exception (Invalid_argument m | Stdlib.Failure m) -> fail m
+  | exception e -> fail ("unexpected exception: " ^ Printexc.to_string e)
 
-let run_fault ~pool (j : Job.fault_job) =
-  let* fn =
-    match Logic.Cell_fun.find_opt j.Job.cell with
-    | Some fn -> Ok fn
-    | None ->
-      Core.Diag.failf ~stage:"service.run"
-        ~context:[ ("cell", j.Job.cell) ]
-        "unknown cell function %s" j.Job.cell
-  in
+let make_cell ~name ~style ~scheme ~drive =
+  match Logic.Cell_fun.find_opt name with
+  | Some fn -> Layout.Cell.make ~rules ~fn ~style ~scheme ~drive
+  | None ->
+    Core.Diag.failf ~stage:"service.run"
+      ~context:[ ("cell", name) ]
+      "unknown cell function %s" name
+
+let injector ~trials ~tracks_per_trial ~max_angle_deg ~seed =
+  {
+    Fault.Injector.default_config with
+    Fault.Injector.trials;
+    tracks_per_trial;
+    max_angle_deg;
+    seed;
+  }
+
+let fault ~pool (j : Job.fault_job) =
+  guard (Job.Fault j) @@ fun () ->
   let* cell =
-    Layout.Cell.make ~rules ~fn ~style:j.Job.style
-      ~scheme:Layout.Cell.Scheme1 ~drive:j.Job.drive
+    make_cell ~name:j.Job.cell ~style:j.Job.style ~scheme:Layout.Cell.Scheme1
+      ~drive:j.Job.drive
+  in
+  let config =
+    injector ~trials:j.Job.trials ~tracks_per_trial:j.Job.tracks_per_trial
+      ~max_angle_deg:j.Job.max_angle_deg ~seed:j.Job.seed
+  in
+  Ok (cell, Fault.Injector.run ~pool config cell)
+
+let fault_json ((cell : Layout.Cell.t), (o : Fault.Injector.outcome)) =
+  Json.Obj
+    [
+      ("cell", Json.Str cell.Layout.Cell.name);
+      ("style", Json.Str (Layout.Cell.style_string cell.Layout.Cell.style));
+      ("trials", Json.int o.Fault.Injector.trials);
+      ("functional_failures", Json.int o.Fault.Injector.functional_failures);
+      ("shorted_trials", Json.int o.Fault.Injector.shorted_trials);
+      ("fight_trials", Json.int o.Fault.Injector.fight_trials);
+      ("float_trials", Json.int o.Fault.Injector.float_trials);
+      ("stray_edges", Json.int o.Fault.Injector.stray_edges);
+      ("failure_rate", Json.Num (Fault.Injector.failure_rate o));
+    ]
+
+let testgen ~pool (j : Job.testgen_job) =
+  guard (Job.Testgen j) @@ fun () ->
+  let* cell =
+    make_cell ~name:j.Job.tg_cell ~style:j.Job.tg_style
+      ~scheme:(Job.cell_scheme j.Job.tg_scheme) ~drive:j.Job.tg_drive
   in
   let config =
     {
-      Fault.Injector.trials = j.Job.trials;
-      tracks_per_trial = j.Job.tracks_per_trial;
-      max_angle_deg = j.Job.max_angle_deg;
-      margin = Fault.Injector.default_config.Fault.Injector.margin;
-      seed = j.Job.seed;
+      Testgen.Campaign.fault =
+        injector ~trials:j.Job.tg_trials
+          ~tracks_per_trial:j.Job.tg_tracks_per_trial
+          ~max_angle_deg:j.Job.tg_max_angle_deg ~seed:j.Job.tg_seed;
+      max_spares = j.Job.tg_max_spares;
+      p_good = j.Job.tg_p_good;
+      max_extra_tubes = j.Job.tg_max_extra_tubes;
     }
   in
-  let o = Fault.Injector.run ~pool config cell in
-  Ok
-    (Json.Obj
-       [
-         ("cell", Json.Str cell.Layout.Cell.name);
-         ("style", Json.Str (Job.style_string j.Job.style));
-         ("trials", Json.int o.Fault.Injector.trials);
-         ("functional_failures",
-          Json.int o.Fault.Injector.functional_failures);
-         ("shorted_trials", Json.int o.Fault.Injector.shorted_trials);
-         ("fight_trials", Json.int o.Fault.Injector.fight_trials);
-         ("float_trials", Json.int o.Fault.Injector.float_trials);
-         ("stray_edges", Json.int o.Fault.Injector.stray_edges);
-         ("failure_rate", Json.Num (Fault.Injector.failure_rate o));
-       ])
+  Ok (Testgen.Campaign.run ~pool config cell)
 
-(* Testgen documents are shared with the CLI's --json mode, so the shape
-   lives here rather than in bin/.  Pure function of the result — no
-   timings, no environment. *)
 let testgen_json (r : Testgen.Campaign.result) =
   let d = r.Testgen.Campaign.dictionary in
   let v = r.Testgen.Campaign.vectors in
@@ -107,9 +100,9 @@ let testgen_json (r : Testgen.Campaign.result) =
   Json.Obj
     [
       ("cell", Json.Str r.Testgen.Campaign.cell);
-      ("style", Json.Str (Job.style_string r.Testgen.Campaign.style));
+      ("style", Json.Str (Layout.Cell.style_string r.Testgen.Campaign.style));
       ("scheme",
-       Json.Str (Testgen.Report.scheme_string r.Testgen.Campaign.scheme));
+       Json.Str (Layout.Cell.scheme_string r.Testgen.Campaign.scheme));
       ("trials", Json.int d.Testgen.Dictionary.trials);
       ("failing", Json.int d.Testgen.Dictionary.failing);
       ("classes", Json.Arr (List.map class_json d.Testgen.Dictionary.classes));
@@ -148,42 +141,6 @@ let testgen_json (r : Testgen.Campaign.result) =
             r.Testgen.Campaign.redundancy));
     ]
 
-let run_testgen ~pool (j : Job.testgen_job) =
-  let* fn =
-    match Logic.Cell_fun.find_opt j.Job.tg_cell with
-    | Some fn -> Ok fn
-    | None ->
-      Core.Diag.failf ~stage:"service.run"
-        ~context:[ ("cell", j.Job.tg_cell) ]
-        "unknown cell function %s" j.Job.tg_cell
-  in
-  let scheme =
-    match j.Job.tg_scheme with
-    | `S1 -> Layout.Cell.Scheme1
-    | `S2 -> Layout.Cell.Scheme2
-  in
-  let* cell =
-    Layout.Cell.make ~rules ~fn ~style:j.Job.tg_style ~scheme
-      ~drive:j.Job.tg_drive
-  in
-  let config =
-    {
-      Testgen.Campaign.fault =
-        {
-          Fault.Injector.trials = j.Job.tg_trials;
-          tracks_per_trial = j.Job.tg_tracks_per_trial;
-          max_angle_deg = j.Job.tg_max_angle_deg;
-          margin = Fault.Injector.default_config.Fault.Injector.margin;
-          seed = j.Job.tg_seed;
-        };
-      max_spares = j.Job.tg_max_spares;
-      p_good = j.Job.tg_p_good;
-      max_extra_tubes = j.Job.tg_max_extra_tubes;
-    }
-  in
-  let r = Testgen.Campaign.run ~pool config cell in
-  Ok (testgen_json r)
-
 let arc_json (a : Stdcell.Characterize.arc) =
   Json.Obj
     [
@@ -195,7 +152,8 @@ let arc_json (a : Stdcell.Characterize.arc) =
        Json.Num (a.Stdcell.Characterize.energy_per_cycle_j *. 1e15));
     ]
 
-let run_characterize ~pool (j : Job.characterize_job) =
+let characterize ~pool (j : Job.characterize_job) =
+  guard (Job.Characterize j) @@ fun () ->
   let* lib = Stdcell.Library.cnfet ~drives:[ j.Job.char_drive ] () in
   let* entry =
     Stdcell.Library.find lib ~name:j.Job.char_cell ~drive:j.Job.char_drive
@@ -203,28 +161,30 @@ let run_characterize ~pool (j : Job.characterize_job) =
   let* points =
     Stdcell.Characterize.sweep ~pool ~lib entry ~loads:j.Job.loads
   in
-  Ok
-    (Json.Obj
-       [
-         ("cell", Json.Str entry.Stdcell.Library.cell_name);
-         ("drive", Json.int j.Job.char_drive);
-         ("points",
-          Json.Arr
-            (List.map
-               (fun (load, arcs) ->
-                 Json.Obj
-                   [
-                     ("load", Json.int load);
-                     ("worst_delay_ps",
-                      Json.Num
-                        (Stdcell.Characterize.worst_delay arcs *. 1e12));
-                     ("arcs", Json.Arr (List.map arc_json arcs));
-                   ])
-               points));
-       ])
+  Ok (entry, points)
 
-(* Like testgen, the dse document shape is shared with the CLI's
-   [dse --report json] so the two cannot drift. *)
+let characterize_json ((entry : Stdcell.Library.entry), points) =
+  Json.Obj
+    [
+      ("cell", Json.Str entry.Stdcell.Library.cell_name);
+      ("drive", Json.int entry.Stdcell.Library.drive);
+      ("points",
+       Json.Arr
+         (List.map
+            (fun (load, arcs) ->
+              Json.Obj
+                [
+                  ("load", Json.int load);
+                  ("worst_delay_ps",
+                   Json.Num (Stdcell.Characterize.worst_delay arcs *. 1e12));
+                  ("arcs", Json.Arr (List.map arc_json arcs));
+                ])
+            points));
+    ]
+
+let dse ~pool (j : Job.dse_job) =
+  guard (Job.Dse j) @@ fun () -> Dse.Engine.run ~pool (Job.dse_config j)
+
 let dse_json (o : Dse.Engine.outcome) =
   let eval_json (e : Dse.Engine.eval) =
     let p = e.Dse.Engine.point in
@@ -237,7 +197,8 @@ let dse_json (o : Dse.Engine.outcome) =
               ("p_metallic", Json.Num p.Dse.Knobs.p_metallic);
               ("removal_eff", Json.Num p.Dse.Knobs.removal_eff);
               ("drive", Json.int p.Dse.Knobs.drive);
-              ("scheme", Json.Str (Dse.Knobs.scheme_string p.Dse.Knobs.scheme));
+              ("scheme",
+               Json.Str (Layout.Cell.scheme_string p.Dse.Knobs.scheme));
               ("tubes", Json.int e.Dse.Engine.tubes);
             ] );
         ("delay_ps", Json.Num e.Dse.Engine.delay_ps);
@@ -256,7 +217,7 @@ let dse_json (o : Dse.Engine.outcome) =
   Json.Obj
     [
       ("cell", Json.Str o.Dse.Engine.cell);
-      ("style", Json.Str (Job.style_string o.Dse.Engine.style));
+      ("style", Json.Str (Layout.Cell.style_string o.Dse.Engine.style));
       ("adaptive", Json.Bool o.Dse.Engine.adaptive);
       ("fine_grid", Json.int o.Dse.Engine.fine_grid);
       ("evaluated", Json.int (List.length o.Dse.Engine.evaluated));
@@ -266,30 +227,56 @@ let dse_json (o : Dse.Engine.outcome) =
       ("front", Json.Arr (List.map eval_json o.Dse.Engine.front));
     ]
 
-let run_dse ~pool (j : Job.dse_job) =
-  let* o = Dse.Engine.run ~pool (Job.dse_config j) in
-  Ok (dse_json o)
+type flow_run = {
+  spec : Flow.Pipeline.spec;
+  outcome : (Flow.Pipeline.result_t, Core.Diag.t) result;
+  report : Core.Pass.report;
+}
 
-let run ~pool ~pass_cache job =
-  match
-    match job with
-    | Job.Flow j -> run_flow ~pass_cache j
-    | Job.Fault j -> run_fault ~pool j
-    | Job.Characterize j -> run_characterize ~pool j
-    | Job.Testgen j -> run_testgen ~pool j
-    | Job.Dse j -> run_dse ~pool j
-  with
-  | r -> r
-  | exception Core.Diag.Failure d -> Error d
-  | exception Invalid_argument m ->
-    Core.Diag.fail ~stage:"service.run"
-      ~context:[ ("job", Job.describe job) ]
-      m
-  | exception Stdlib.Failure m ->
-    Core.Diag.fail ~stage:"service.run"
-      ~context:[ ("job", Job.describe job) ]
-      m
-  | exception e ->
-    Core.Diag.failf ~stage:"service.run"
-      ~context:[ ("job", Job.describe job) ]
-      "unexpected exception: %s" (Printexc.to_string e)
+let resolve_source = function
+  | Job.Full_adder -> Ok (Flow.Full_adder.netlist ())
+  | Job.Ripple bits -> Flow.Ripple_adder.netlist ~bits
+  | Job.Netlist_text text -> Flow.Netlist_ir.of_string text
+  | Job.Generated spec -> Flow.Generate.of_spec spec
+
+let flow ?pass_cache ?trace (j : Job.flow_job) =
+  guard (Job.Flow j) @@ fun () ->
+  let* netlist = resolve_source j.Job.source in
+  let drives =
+    List.sort_uniq Stdlib.compare
+      (List.map
+         (fun (i : Flow.Netlist_ir.instance) -> i.Flow.Netlist_ir.drive)
+         netlist.Flow.Netlist_ir.instances)
+  in
+  let* lib = Stdcell.Library.cnfet ~drives () in
+  let spec =
+    Flow.Pipeline.spec_of_netlist ~scheme:j.Job.scheme ~aspect:j.Job.aspect
+      ~lib netlist
+  in
+  let outcome, report = Flow.Pipeline.run ?cache:pass_cache ?trace spec in
+  Ok { spec; outcome; report }
+
+(* Sizes and metrics, never timings — see the mli determinism note. *)
+let flow_json spec (r : Flow.Pipeline.result_t) =
+  let netlist = r.Flow.Pipeline.netlist and p = r.Flow.Pipeline.placement in
+  Json.Obj
+    [
+      ("design", Json.Str netlist.Flow.Netlist_ir.design);
+      ("instances", Json.int (List.length netlist.Flow.Netlist_ir.instances));
+      ("unique_cells", Json.int (List.length r.Flow.Pipeline.cells));
+      ("die_width", Json.int p.Flow.Placer.die_width);
+      ("die_height", Json.int p.Flow.Placer.die_height);
+      ("utilization", Json.Num (Flow.Placer.utilization p));
+      ("gds_bytes", Json.int (String.length r.Flow.Pipeline.gds_bytes));
+      ("spec_digest", Json.Str (Flow.Pipeline.spec_digest spec));
+    ]
+
+let run ~pool ~pass_cache = function
+  | Job.Flow j ->
+    let* f = flow ~pass_cache j in
+    let* r = f.outcome in
+    Ok (flow_json f.spec r)
+  | Job.Fault j -> Result.map fault_json (fault ~pool j)
+  | Job.Characterize j -> Result.map characterize_json (characterize ~pool j)
+  | Job.Testgen j -> Result.map testgen_json (testgen ~pool j)
+  | Job.Dse j -> Result.map dse_json (dse ~pool j)

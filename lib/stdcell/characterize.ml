@@ -34,7 +34,19 @@ let vdd_of lib =
   | Library.Cnfet_tech t -> t.Device.Cnfet.vdd
   | Library.Cmos_tech t -> t.Device.Mosfet.vdd
 
+(* The one load check: [arc] (and through it [all_arcs]) and [sweep] all
+   refuse a negative load before simulating anything. *)
+let check_load (entry : Library.entry) load =
+  if load >= 0 then Ok ()
+  else
+    Core.Diag.failf ~stage:"characterize"
+      ~context:
+        [ ("cell", entry.Library.cell_name); ("load", string_of_int load) ]
+      "negative load %d" load
+
 let arc ?variation ~lib (entry : Library.entry) ~input ~load_inv1x =
+  let ( let* ) = Result.bind in
+  let* () = check_load entry load_inv1x in
   let vdd = vdd_of lib in
   let period = 2e-9 in
   let net = Circuit.Netlist.create () in
@@ -147,38 +159,37 @@ let all_arcs_exn ?variation ~lib entry ~load_inv1x =
   Core.Diag.ok_exn (all_arcs ?variation ~lib entry ~load_inv1x)
 
 let sweep ?pool ?variation ~lib (entry : Library.entry) ~loads =
-  if loads = [] then
-    Core.Diag.fail ~stage:"characterize"
-      ~context:[ ("cell", entry.Library.cell_name) ]
-      "empty load sweep"
-  else
-    match List.find_opt (fun l -> l < 0) loads with
-    | Some l ->
-      Core.Diag.failf ~stage:"characterize"
-        ~context:
-          [ ("cell", entry.Library.cell_name); ("load", string_of_int l) ]
-        "negative load point %d in sweep" l
-    | None ->
-      let points = Array.of_list loads in
-      let at i = all_arcs ?variation ~lib entry ~load_inv1x:points.(i) in
-      let results =
-        (* every point is a pure function of its load, so pool scheduling
-           cannot change the result array — only how fast it fills *)
-        match pool with
-        | Some pool -> Parallel.Pool.init_array pool (Array.length points) ~f:at
-        | None -> Array.init (Array.length points) at
-      in
-      (* first error in sweep order wins, identical at any pool size *)
-      Array.to_seq results |> List.of_seq
-      |> List.mapi (fun i r -> Result.map (fun arcs -> (points.(i), arcs)) r)
-      |> List.fold_left
-           (fun acc r ->
-             match (acc, r) with
-             | (Error _ as e), _ -> e
-             | Ok acc, Ok p -> Ok (p :: acc)
-             | Ok _, (Error _ as e) -> e)
-           (Ok [])
-      |> Result.map List.rev
+  let ( let* ) = Result.bind in
+  let* () =
+    if loads = [] then
+      Core.Diag.fail ~stage:"characterize"
+        ~context:[ ("cell", entry.Library.cell_name) ]
+        "empty load sweep"
+    else
+      List.fold_left
+        (fun acc l -> Result.bind acc (fun () -> check_load entry l))
+        (Ok ()) loads
+  in
+  let points = Array.of_list loads in
+  let at i = all_arcs ?variation ~lib entry ~load_inv1x:points.(i) in
+  let results =
+    (* every point is a pure function of its load, so pool scheduling
+       cannot change the result array — only how fast it fills *)
+    match pool with
+    | Some pool -> Parallel.Pool.init_array pool (Array.length points) ~f:at
+    | None -> Array.init (Array.length points) at
+  in
+  (* first error in sweep order wins, identical at any pool size *)
+  Array.to_seq results |> List.of_seq
+  |> List.mapi (fun i r -> Result.map (fun arcs -> (points.(i), arcs)) r)
+  |> List.fold_left
+       (fun acc r ->
+         match (acc, r) with
+         | (Error _ as e), _ -> e
+         | Ok acc, Ok p -> Ok (p :: acc)
+         | Ok _, (Error _ as e) -> e)
+       (Ok [])
+  |> Result.map List.rev
 
 let worst_delay arcs =
   List.fold_left (fun acc a -> Float.max acc a.avg_delay_s) 0. arcs

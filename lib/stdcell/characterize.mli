@@ -22,8 +22,9 @@ val sensitize : Logic.Cell_fun.t -> input:string -> (string * bool) list
 val arc : ?variation:Device.Variation.sampler -> lib:Library.t
   -> Library.entry -> input:string -> load_inv1x:int
   -> (arc, Core.Diag.t) result
-(** Simulate one pin.  An output that never switches is a [Diag] error
-    naming the cell and the pin.
+(** Simulate one pin.  A negative [load_inv1x] is a [Diag] error naming
+    the load (the one load check, which {!all_arcs} and {!sweep} share),
+    as is an output that never switches, naming the cell and the pin.
 
     [?variation] injects a {e prepared} variation sampler (one
     {!Device.Variation.prepare_sampler} per device geometry, shared by

@@ -57,7 +57,9 @@ let run ?pool ?(domains = 1) config (cell : Layout.Cell.t) =
         ("cell", Telemetry.String cell.Layout.Cell.name);
         ("trials", Telemetry.Int config.fault.Fault.Injector.trials);
         ("max_spares", Telemetry.Int config.max_spares);
-        ("domains", Telemetry.Int domains);
+        ("domains",
+         Telemetry.Int
+           (Option.fold ~none:domains ~some:Parallel.Pool.size pool));
       ]
   @@ fun () ->
   let prep = Layout.Cell.prepare cell in

@@ -1,13 +1,3 @@
-let style_string = function
-  | Layout.Cell.Immune_new -> "new"
-  | Layout.Cell.Immune_old -> "old"
-  | Layout.Cell.Vulnerable -> "vulnerable"
-  | Layout.Cell.Cmos -> "cmos"
-
-let scheme_string = function
-  | Layout.Cell.Scheme1 -> "s1"
-  | Layout.Cell.Scheme2 -> "s2"
-
 let signature_string s =
   "{"
   ^ String.concat ","
@@ -22,8 +12,8 @@ let to_text (r : Campaign.result) =
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let d = r.Campaign.dictionary in
   add "testgen %s style=%s scheme=%s\n" r.Campaign.cell
-    (style_string r.Campaign.style)
-    (scheme_string r.Campaign.scheme);
+    (Layout.Cell.style_string r.Campaign.style)
+    (Layout.Cell.scheme_string r.Campaign.scheme);
   add "campaign: trials=%d failing=%d (%.2f%%) classes=%d\n"
     d.Dictionary.trials d.Dictionary.failing
     (if d.Dictionary.trials = 0 then 0.

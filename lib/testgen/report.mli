@@ -4,12 +4,6 @@
     no float formatting that depends on libm — so for a fixed seed it is
     byte-stable and can be pinned by a golden test. *)
 
-val style_string : Layout.Cell.style -> string
-(** ["new"], ["old"], ["vulnerable"] or ["cmos"]. *)
-
-val scheme_string : Layout.Cell.scheme -> string
-(** ["s1"] or ["s2"]. *)
-
 val signature_string : Dictionary.signature -> string
 (** [{row:drive,...}] with drives spelled per
     {!Logic.Switch_graph.drive_string}. *)

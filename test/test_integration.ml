@@ -149,5 +149,6 @@ let () =
       ("dse", Test_dse.suite);
       ("service", Test_service.suite);
       ("recovery", Test_recovery.suite);
+      ("cli", Test_cli.suite);
       ("integration", suite);
     ]

@@ -126,6 +126,26 @@ let pipeline_cache_hits () =
     [ ("double", false); ("incr", false) ]
     (cached_of rep3)
 
+(* a step computes its key once, for both the lookup and the store, and
+   not at all without a cache *)
+let digest_once_per_step () =
+  let calls = ref 0 in
+  let counted =
+    Core.Pass.make ~name:"counted"
+      ~digest:(fun x ->
+        incr calls;
+        string_of_int x)
+      (fun x -> Ok (x + 1))
+  in
+  let pl = Core.Pass.pass counted in
+  ignore (Core.Pass.execute pl 1);
+  check_int "no cache, no key" 0 !calls;
+  let cache = Core.Pass.cache_create () in
+  ignore (Core.Pass.execute ~cache pl 1);
+  check_int "a miss keys once" 1 !calls;
+  ignore (Core.Pass.execute ~cache pl 1);
+  check_int "a hit keys once" 2 !calls
+
 let trace_events () =
   let seen = ref [] in
   let trace e = seen := Core.Pass.trace_event_to_string e :: !seen in
@@ -208,6 +228,40 @@ let flow_cache_skips_upstream () =
   checkb "layout re-run" false (cached_of "layout");
   checkb "export re-run" false (cached_of "export")
 
+(* The flow's pass-cache keys, pinned as the pipeline computed them
+   before the netlist digest travelled lazily with the stages: the same
+   full adder from an in-memory netlist and from its text. *)
+let flow_cache_keys_pinned () =
+  let keys source =
+    let cache = Core.Pass.cache_create () in
+    ignore (Flow.Pipeline.run ~cache source);
+    List.sort compare (Core.Pass.cache_entries cache)
+  in
+  let fa = Flow.Full_adder.netlist () in
+  let netlist = "a4a251d8b60b1414e6ab9886db1d4e3b" in
+  Alcotest.(check (list (pair string string)))
+    "netlist source keys"
+    [
+      ("export", "f1b6abb792fe6f32ded2ac30f4a07d8d");
+      ("layout", "689d5f866f9f004bda7d91fcb3945eac");
+      ("parse", netlist);
+      ("place", "689d5f866f9f004bda7d91fcb3945eac");
+      ("validate", netlist);
+    ]
+    (keys (Flow.Pipeline.spec_of_netlist ~scheme:`S1 ~lib fa));
+  Alcotest.(check (list (pair string string)))
+    "text source keys"
+    [
+      ("export", "488ffa91903ce9208c63adb963414886");
+      ("layout", "b76a17e9ce4341ce169a03c08549a55e");
+      ("parse", netlist);
+      ("place", "b76a17e9ce4341ce169a03c08549a55e");
+      ("validate", netlist);
+    ]
+    (keys
+       (Flow.Pipeline.spec_of_text ~scheme:`S2 ~aspect:2. ~lib
+          (Flow.Netlist_ir.to_string fa)))
+
 let flow_reports_diagnostics () =
   (* an unknown cell fails validation with a stage-tagged diagnostic, and
      the report still covers the passes that ran *)
@@ -243,6 +297,7 @@ let suite =
     Alcotest.test_case "pipeline executes" `Quick pipeline_executes;
     Alcotest.test_case "pipeline stops on error" `Quick pipeline_stops_on_error;
     Alcotest.test_case "pipeline cache hits" `Quick pipeline_cache_hits;
+    Alcotest.test_case "digest once per step" `Quick digest_once_per_step;
     Alcotest.test_case "trace events" `Quick trace_events;
     Alcotest.test_case "trace cache-hit counters" `Quick
       trace_cache_hit_counters;
@@ -250,6 +305,7 @@ let suite =
     Alcotest.test_case "flow runs" `Slow flow_runs;
     Alcotest.test_case "flow cache skips upstream" `Slow
       flow_cache_skips_upstream;
+    Alcotest.test_case "flow cache keys pinned" `Quick flow_cache_keys_pinned;
     Alcotest.test_case "flow reports diagnostics" `Quick
       flow_reports_diagnostics;
   ]

@@ -197,6 +197,24 @@ let sweep_rejects_bad_inputs () =
     checkb "names the load" true
       (List.assoc_opt "load" d.Core.Diag.context = Some "-1")
 
+(* one load check: a single arc, all arcs and a sweep each refuse a
+   negative load, naming it, before simulating anything *)
+let negative_load_rejected () =
+  let e = Stdcell.Library.find_exn cn_lib ~name:"INV" ~drive:1 in
+  let names_load = function
+    | Ok _ -> false
+    | Error d ->
+      d.Core.Diag.stage = "characterize"
+      && List.assoc_opt "load" d.Core.Diag.context = Some "-1"
+  in
+  checkb "arc" true
+    (names_load
+       (Stdcell.Characterize.arc ~lib:cn_lib e ~input:"A" ~load_inv1x:(-1)));
+  checkb "all_arcs" true
+    (names_load (Stdcell.Characterize.all_arcs ~lib:cn_lib e ~load_inv1x:(-1)));
+  checkb "sweep" true
+    (names_load (Stdcell.Characterize.sweep ~lib:cn_lib e ~loads:[ -1 ]))
+
 (* --- Liberty golden --- *)
 
 let mask_digits s =
@@ -489,6 +507,7 @@ let suite =
       sweep_single_point_matches_all_arcs;
     Alcotest.test_case "sweep rejects bad inputs" `Quick
       sweep_rejects_bad_inputs;
+    Alcotest.test_case "negative load rejected" `Quick negative_load_rejected;
     Alcotest.test_case "liberty inverter golden" `Slow liberty_inverter_golden;
     Alcotest.test_case "characterize hex golden" `Slow
       characterize_hex_golden;
