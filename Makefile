@@ -17,7 +17,7 @@ smoke:
 	dune exec test/smoke.exe
 
 bench:
-	dune exec bench/main.exe -- mcscale
+	dune exec bench/main.exe -- dse
 
 # Perf ratchet: rerun the bench behind every *committed* BENCH_*.json
 # and compare fresh against baseline (median-normalized, >15% regression

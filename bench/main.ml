@@ -1,12 +1,10 @@
 (* Experiment driver: `main.exe` runs every paper experiment;
-   `main.exe <name>` runs one (table1 fig2 immunity fig7 screening cs1 cs2
-   summary ablation mcscale perf). *)
+   `main.exe <name>` runs one (the names [usage] lists). *)
 
 let usage () =
   print_endline
     "usage: main.exe [table1|fig2|immunity|fig7|screening|cs1|cs2|summary|\
-     ablation|yield|variation|sta|anneal|drc|mcscale|testgen|dse|flowbench|\
-     scale|perf|all]"
+     ablation|yield|variation|sta|anneal|drc|ring|ripple|dse|scale|perf|all]"
 
 let all_experiments =
   [
@@ -26,10 +24,7 @@ let all_experiments =
     ("drc", Experiments.drc_exp);
     ("ring", Experiments.ring_exp);
     ("ripple", Experiments.ripple_exp);
-    ("mcscale", fun () -> Mc_scaling.run ());
-    ("testgen", Testgen_bench.run);
     ("dse", Dse_bench.run);
-    ("flowbench", Flowbench.run);
     ("scale", Scale_bench.run);
   ]
 

@@ -20,15 +20,21 @@ let cell_arg =
              OAI22, AOI31." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CELL" ~doc)
 
-let cell_opt_arg =
-  Arg.(required
-       & opt (some string) None
-       & info [ "cell" ] ~docv:"CELL"
-           ~doc:"Cell name: INV, NAND2, NOR2, AOI21, OAI21, ...")
+let cell_opt_arg doc =
+  Arg.(required & opt (some string) None & info [ "cell" ] ~docv:"CELL" ~doc)
 
-let drive_arg =
-  let doc = "Base transistor width in lambda." in
-  Arg.(value & opt int 4 & info [ "drive"; "d" ] ~docv:"LAMBDA" ~doc)
+let drive_arg ?(docv = "LAMBDA") doc =
+  Arg.(value & opt int 4 & info [ "drive"; "d" ] ~docv ~doc)
+
+let width_arg = drive_arg "Base transistor width in lambda."
+
+(* the cells the library builds above 1X, as its own predicate says *)
+let sized_cells =
+  Logic.Cell_fun.all
+  |> List.filter (fun (fn : Logic.Cell_fun.t) ->
+         Result.is_ok (Stdcell.Library.offers ~name:fn.name ~drive:2))
+  |> List.map (fun (fn : Logic.Cell_fun.t) -> fn.name)
+  |> String.concat ", "
 
 let style_arg =
   let doc = "Layout style: new, old, vulnerable or cmos." in
@@ -77,6 +83,30 @@ let diag_exit d =
 let or_diag_exit f =
   try f () with Core.Diag.Failure d -> diag_exit d
 
+(* Output files are checked before any work runs, so a missing or
+   unwritable directory costs nothing and prints nothing; a write that
+   fails anyway raises the same Diag, never a bare Sys_error. *)
+let cannot_write path reason =
+  Core.Diag.error ~stage:"output" ~context:[ ("path", path) ]
+    ("cannot write " ^ path ^ ": " ^ reason)
+
+let check_outputs paths =
+  List.fold_left
+    (fun acc path ->
+      let* () = acc in
+      match Unix.access (Filename.dirname path) [ Unix.W_OK ] with
+      | () when Sys.file_exists path && Sys.is_directory path ->
+        Error (cannot_write path "Is a directory")
+      | () -> Ok ()
+      | exception Unix.Unix_error (e, _, _) ->
+        Error (cannot_write path (Unix.error_message e)))
+    (Ok ())
+    (List.filter_map Fun.id paths)
+
+let write_output path write =
+  try Out_channel.with_open_bin path write
+  with Sys_error m -> raise (Core.Diag.Failure (cannot_write path m))
+
 (* Telemetry flags shared by the compute subcommands and serve:
    --telemetry prints the merged metrics/span summary after the run,
    --trace-out writes a Chrome trace_event file (about://tracing,
@@ -120,7 +150,7 @@ let telemetry_finish oc = function
     let snap = Telemetry.collect () in
     (match trace_out with
     | Some path ->
-      Out_channel.with_open_text path (fun t ->
+      write_output path (fun t ->
           output_string t (Telemetry.chrome_trace snap);
           output_char t '\n');
       Printf.fprintf oc "wrote trace %s\n" path
@@ -132,17 +162,22 @@ let telemetry_finish oc = function
 
 (* The compute subcommands are clients of the job runner.  [job] passes
    the service's admission check (a rejected flag or an unknown cell
-   exits 2 with the same diagnostic a served submission gets), [run]
-   executes it on a pool of [domains] inside the telemetry window, and
-   [print] renders the typed result and returns the exit code. *)
-let run_job ?(domains = 1) tel job run print =
-  match Service.Job.validate job with
+   exits 2 with the same diagnostic a served submission gets) and the
+   [outputs] (and the trace file) the output check, [run] executes it on
+   a pool of [domains] inside the telemetry window, and [print] renders
+   the typed result and returns the exit code. *)
+let run_job ?(domains = 1) ?(outputs = []) tel job run print =
+  match
+    let* () = Service.Job.validate job in
+    check_outputs (snd tel :: outputs)
+  with
   | Error d -> diag_exit d
   | Ok () -> (
     telemetry_start tel;
     match Parallel.Pool.with_pool ~domains (fun pool -> run ~pool) with
     | Error d -> diag_exit d
     | Ok r ->
+      or_diag_exit @@ fun () ->
       let code = print r in
       telemetry_finish stdout tel;
       code)
@@ -152,13 +187,8 @@ let run_job ?(domains = 1) tel job run print =
 let layout_cmd =
   let run name drive style scheme gds =
     match
-      let* fn =
-        match Logic.Cell_fun.find_opt name with
-        | Some fn -> Ok fn
-        | None ->
-          Core.Diag.failf ~stage:"cell" ~context:[ ("cell", name) ]
-            "unknown cell function %s" name
-      in
+      let* fn = Layout.Cell.lookup ~name ~drive in
+      let* () = check_outputs [ gds ] in
       Layout.Cell.make ~rules ~fn ~style ~scheme ~drive
     with
     | Error d -> diag_exit d
@@ -172,18 +202,21 @@ let layout_cmd =
       (match Layout.Cell.check_function cell with
       | Ok () -> print_endline "switch-level function: correct"
       | Error e -> Printf.printf "switch-level function: %s\n" e);
+      or_diag_exit @@ fun () ->
       (match gds with
       | None -> ()
       | Some path ->
-        Gds.Stream.write_file path
-          (Gds.Stream.library ~rules ~name:"cnfet_dk"
-             [ (cell.Layout.Cell.name, Layout.Cell.layers cell) ]);
+        let lib =
+          Gds.Stream.library ~rules ~name:"cnfet_dk"
+            [ (cell.Layout.Cell.name, Layout.Cell.layers cell) ]
+        in
+        write_output path (fun oc -> output_string oc (Gds.Stream.to_bytes lib));
         Printf.printf "wrote %s\n" path);
       0
   in
   let doc = "Generate a standard-cell layout." in
   Cmd.v (Cmd.info "layout" ~doc)
-    Term.(const run $ cell_arg $ drive_arg $ style_arg $ scheme_arg $ gds_arg)
+    Term.(const run $ cell_arg $ width_arg $ style_arg $ scheme_arg $ gds_arg)
 
 (* fault *)
 
@@ -219,7 +252,7 @@ let fault_cmd =
   in
   let doc = "Inject mispositioned CNTs and check functional immunity." in
   Cmd.v (Cmd.info "fault" ~doc)
-    Term.(const run $ cell_arg $ drive_arg $ style_arg $ trials_arg
+    Term.(const run $ cell_arg $ width_arg $ style_arg $ trials_arg
           $ angle_arg $ domains $ telemetry_args)
 
 (* test-gen *)
@@ -281,7 +314,9 @@ let test_gen_cmd =
      distinguishing vector set, spare-track and N-of-M repair curves."
   in
   Cmd.v (Cmd.info "test-gen" ~doc)
-    Term.(const run $ cell_opt_arg $ drive_arg $ scheme $ layout_style_arg
+    Term.(const run
+          $ cell_opt_arg "Cell name: INV, NAND2, NOR2, AOI21, OAI21, ..."
+          $ width_arg $ scheme $ layout_style_arg
           $ trials_arg $ tracks $ angle_arg $ seed $ spares $ p_good
           $ extra_tubes $ domains $ json $ telemetry_args)
 
@@ -356,15 +391,15 @@ let dse_cmd =
         dse_load = load; dse_max_trials = trials; dse_seed = seed;
         dse_adaptive = not exhaustive }
     in
-    run_job ~domains tel (Service.Job.Dse job) (Service.Runner.dse job)
+    run_job ~domains ~outputs:[ csv ] tel (Service.Job.Dse job)
+      (Service.Runner.dse job)
     @@ fun o ->
     (match report with
     | `Text -> print_string (Dse.Report.text o)
     | `Json -> print_endline (Core.Json.to_string (Service.Runner.dse_json o)));
     (match csv with
     | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Dse.Report.csv o));
+      write_output path (fun oc -> output_string oc (Dse.Report.csv o));
       Printf.eprintf "wrote front %s\n%!" path
     | None -> ());
     0
@@ -377,7 +412,11 @@ let dse_cmd =
      front as the exhaustive fine-grid sweep."
   in
   Cmd.v (Cmd.info "dse" ~doc)
-    Term.(const run $ cell_opt_arg $ layout_style_arg $ pitches $ p_metallic
+    Term.(const run
+          $ cell_opt_arg
+              ("Cell name.  Every drive of --drives must exist: above 1X \
+                the library has only " ^ sized_cells ^ ".")
+          $ layout_style_arg $ pitches $ p_metallic
           $ removal $ drives $ schemes $ load $ trials $ seed $ exhaustive
           $ domains $ report $ csv $ telemetry_args)
 
@@ -451,7 +490,11 @@ let characterize_cmd =
   in
   let doc = "Simulate timing/energy arcs of a library cell." in
   Cmd.v (Cmd.info "characterize" ~doc)
-    Term.(const run $ cell_arg $ drive_arg $ load $ cmos_flag)
+    Term.(const run $ cell_arg
+          $ drive_arg ~docv:"K"
+              ("Drive strength, a multiple of INV1X.  Above 1X the library \
+                has only " ^ sized_cells ^ ".")
+          $ load $ cmos_flag)
 
 (* flow *)
 
@@ -504,9 +547,9 @@ let flow_cmd =
             prerr_endline ("trace: " ^ Core.Pass.trace_event_to_string e))
       else None
     in
-    run_job tel (Service.Job.Flow job)
+    run_job ~outputs:[ Some gds_out ] tel (Service.Job.Flow job)
       (fun ~pool:_ -> Service.Runner.flow ?trace job)
-    @@ fun { Service.Runner.outcome; report = rep; _ } ->
+    @@ fun { Service.Runner.outcome; report = rep } ->
     match outcome with
     | Error d ->
       if report = Some `Text then print_string (Core.Pass.report_to_text rep);
@@ -518,7 +561,7 @@ let flow_cmd =
         (List.length p.Flow.Placer.cells)
         p.Flow.Placer.die_width p.Flow.Placer.die_height
         (Flow.Placer.utilization p);
-      Out_channel.with_open_bin gds_out (fun oc ->
+      write_output gds_out (fun oc ->
           output_string oc r.Flow.Pipeline.gds_bytes);
       Printf.printf "wrote %s\n" gds_out;
       (match report with
@@ -695,6 +738,7 @@ let serve_cmd =
       idle_timeout_ms rate_limit queue_high_water replay journal workers
       metrics_out event_log tel =
     or_diag_exit @@ fun () ->
+    Core.Diag.ok_exn (check_outputs [ event_log; metrics_out; snd tel ]);
     (* the serving layer is always observable: metrics/health/event ops
        must answer with data whether or not a summary was asked for *)
     Telemetry.reset ();
@@ -705,7 +749,8 @@ let serve_cmd =
       | None -> None
       | Some path ->
         let oc =
-          open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
+          try open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
+          with Sys_error m -> raise (Core.Diag.Failure (cannot_write path m))
         in
         Telemetry.Events.set_sink
           (Some

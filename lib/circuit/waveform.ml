@@ -75,20 +75,3 @@ let propagation_delays ~input ~output ~level =
       | Some (to_, _) -> Some (to_ -. ti)
       | None -> None)
     ins
-
-let transition_time t ~lo_frac ~hi_frac ~vdd ~around =
-  let lo = lo_frac *. vdd and hi = hi_frac *. vdd in
-  let lo_x = crossings t ~level:lo and hi_x = crossings t ~level:hi in
-  let nearest xs =
-    List.fold_left
-      (fun best (at, _) ->
-        match best with
-        | None -> Some at
-        | Some b ->
-          if Float.abs (at -. around) < Float.abs (b -. around) then Some at
-          else best)
-      None xs
-  in
-  match (nearest lo_x, nearest hi_x) with
-  | Some a, Some b -> Some (Float.abs (b -. a))
-  | _, _ -> None

@@ -22,7 +22,3 @@ val crossings : t -> level:float -> (float * direction) list
 val propagation_delays : input:t -> output:t -> level:float -> float list
 (** For each input crossing, the delay to the next output crossing
     (any direction) — the standard 50%-to-50% propagation delays. *)
-
-val transition_time : t -> lo_frac:float -> hi_frac:float -> vdd:float
-  -> around:float -> float option
-(** 10–90% style transition duration of the edge nearest [around]. *)

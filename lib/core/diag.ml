@@ -24,8 +24,11 @@ let failf ?context ~stage fmt =
 
 let with_context pairs d = { d with context = d.context @ pairs }
 
+(* the innermost stage stays the only origin, however often [d] is
+   re-staged: a second ["origin"] pair would be a duplicate JSON key *)
 let with_stage stage d =
   if d.stage = stage then d
+  else if List.mem_assoc "origin" d.context then { d with stage }
   else { d with stage; context = d.context @ [ ("origin", d.stage) ] }
 
 let severity_to_string = function
@@ -82,8 +85,6 @@ let ok_exn = function Ok x -> x | Stdlib.Error d -> raise (Failure d)
 let of_msg ~stage = function
   | Ok _ as ok -> ok
   | Stdlib.Error msg -> fail ~stage msg
-
-let map_error r ~stage = of_msg ~stage r
 
 let () =
   Printexc.register_printer (function

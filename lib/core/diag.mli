@@ -45,9 +45,9 @@ val with_context : (string * string) list -> t -> t
 (** Append context pairs to an existing diagnostic. *)
 
 val with_stage : string -> t -> t
-(** [with_stage s d] re-labels [d] as originating from stage [s] if the
-    original stage is recorded in the context (the original stage is kept
-    under the ["origin"] context key when it differs). *)
+(** [with_stage s d] re-labels [d] as coming from stage [s].  When [s]
+    differs, the stage that first produced [d] is kept under the
+    ["origin"] context key; re-staging again keeps that one origin. *)
 
 val severity_to_string : severity -> string
 
@@ -73,6 +73,3 @@ val ok_exn : ('a, t) result -> 'a
 
 val of_msg : stage:string -> ('a, string) result -> ('a, t) result
 (** Lift a plain [string]-error result into a diagnostic one. *)
-
-val map_error : ('a, string) result -> stage:string -> ('a, t) result
-(** Alias of {!of_msg} with the label last, for pipelining. *)

@@ -70,7 +70,6 @@ let trace_event_to_string = function
 type cache = (string, string * univ) Hashtbl.t
 
 let cache_create () : cache = Hashtbl.create 7
-let cache_clear = Hashtbl.reset
 
 let cache_entries (c : cache) =
   Hashtbl.fold (fun name (digest, _) acc -> (name, digest) :: acc) c []

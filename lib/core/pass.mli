@@ -88,7 +88,6 @@ type cache
     artifact without running the pass. *)
 
 val cache_create : unit -> cache
-val cache_clear : cache -> unit
 
 val cache_entries : cache -> (string * string) list
 (** [(pass_name, input_digest)] pairs currently stored, unordered. *)

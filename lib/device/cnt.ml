@@ -10,4 +10,3 @@ let bandgap_ev ~diameter_nm =
   0.84 /. diameter_nm
 
 let threshold_v ~diameter_nm = bandgap_ev ~diameter_nm /. 2.
-let default_chirality = (19, 0)

@@ -18,6 +18,3 @@ val bandgap_ev : diameter_nm:float -> float
 
 val threshold_v : diameter_nm:float -> float
 (** Vt ~ Eg / 2e — half the band gap in volts. *)
-
-val default_chirality : int * int
-(** (19, 0), the Stanford model default, d ~ 1.49 nm, Vt ~ 0.28 V. *)

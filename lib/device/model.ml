@@ -18,8 +18,6 @@ type t = {
   c_drain : float;
 }
 
-let flip = function Nfet -> Pfet | Pfet -> Nfet
-
 (* The softplus effective overdrive (continuous and monotone through the
    threshold) over its full-drive value, raised to [alpha], times a tanh
    knee in vds.  The products associate as ((pre * drive) * knee) * post:

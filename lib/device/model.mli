@@ -36,8 +36,6 @@ type t = {
   c_drain : float;  (** lumped drain junction/parasitic capacitance *)
 }
 
-val flip : polarity -> polarity
-
 val i_d : t -> vgs:float -> vds:float -> float
 (** Drain current in amperes for the {e magnitude} voltages; 0 at
     [vds <= 0]. *)

@@ -63,9 +63,3 @@ let hits (f : Layout.Fabric.t) seg = hits_prepared (prepare f) seg
 
 let edges (f : Layout.Fabric.t) seg =
   edges_of_hits ~polarity:f.Layout.Fabric.polarity (hits f seg)
-
-let is_benign (f : Layout.Fabric.t) ~intended ~inputs seg =
-  let g = Layout.Fabric.switch_graph_of_rows f in
-  List.iter (Logic.Switch_graph.add_edge g) (edges f seg);
-  let got = Logic.Switch_graph.truth_table g ~inputs in
-  Logic.Truth.equal got intended

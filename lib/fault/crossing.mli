@@ -34,9 +34,3 @@ val edges : Layout.Fabric.t -> Geom.Segment.t -> Logic.Switch_graph.edge list
 
 val edges_prepared : prepared -> Geom.Segment.t -> Logic.Switch_graph.edge list
 (** Same as {!edges} on the cached geometry; equal output for equal input. *)
-
-val is_benign : Layout.Fabric.t -> intended:Logic.Truth.t
-  -> inputs:string list -> Geom.Segment.t -> bool
-(** [true] when adding the track's edges to the fabric's nominal rows does
-    not change the function of the *single fabric* network seen between its
-    rails.  (Cell-level checks live in {!Injector}.) *)

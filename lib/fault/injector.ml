@@ -9,24 +9,23 @@ type config = {
 let default_config =
   { trials = 1000; tracks_per_trial = 3; max_angle_deg = 8.; margin = 2.; seed = 42 }
 
+(* a non-finite angle makes every track NaN, and NaN tracks cross
+   nothing: a vulnerable cell would read as immune *)
 let validate config =
+  let fail field value msg =
+    Core.Diag.fail ~stage:"fault.injector" ~context:[ (field, value) ] msg
+  in
   if config.trials <= 0 then
-    invalid_arg
-      (Printf.sprintf "Fault.Injector.run: trials must be positive (got %d)"
-         config.trials);
-  if config.tracks_per_trial < 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Fault.Injector.run: tracks_per_trial must be non-negative (got %d)"
-         config.tracks_per_trial);
-  (* a non-finite angle makes every track NaN, and NaN tracks cross
-     nothing: a vulnerable cell would read as immune *)
-  if not (config.max_angle_deg >= 0. && config.max_angle_deg <= 90.) then
-    invalid_arg
-      (Printf.sprintf
-         "Fault.Injector.run: max_angle_deg must be a finite angle in [0, \
-          90] (got %g)"
-         config.max_angle_deg)
+    fail "trials" (string_of_int config.trials) "trials must be positive"
+  else if config.tracks_per_trial < 0 then
+    fail "tracks_per_trial"
+      (string_of_int config.tracks_per_trial)
+      "tracks_per_trial must be non-negative"
+  else if not (config.max_angle_deg >= 0. && config.max_angle_deg <= 90.) then
+    fail "max_angle_deg"
+      (string_of_float config.max_angle_deg)
+      "max_angle_deg must be a finite angle in [0, 90]"
+  else Ok ()
 
 type outcome = {
   trials : int;
@@ -93,7 +92,8 @@ let style_slug = function
 let chunk_for trials = max 1 ((trials + 31) / 32)
 
 let run ?pool ?(domains = 1) config (cell : Layout.Cell.t) =
-  validate config;
+  Result.iter_error (fun d -> invalid_arg (Core.Diag.to_string d))
+    (validate config);
   let style = style_slug cell.Layout.Cell.style in
   Telemetry.with_span "fault.campaign"
     ~attrs:

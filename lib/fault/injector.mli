@@ -25,12 +25,12 @@ type config = {
 
 val default_config : config
 
-val validate : config -> unit
-(** @raise Invalid_argument when [trials <= 0], [tracks_per_trial < 0] or
-    [max_angle_deg] is not a finite angle in [0, 90], naming the
-    offending field — a campaign that would silently loop zero times, or
-    spray NaN tracks that cross nothing, is a configuration bug, not an
-    immunity proof. *)
+val validate : config -> (unit, Core.Diag.t) result
+(** A [Diag] naming the offending field when [trials <= 0],
+    [tracks_per_trial < 0] or [max_angle_deg] is not a finite angle in
+    [0, 90] — a campaign that would silently loop zero times, or spray NaN
+    tracks that cross nothing, is a configuration bug, not an immunity
+    proof.  The job service admits fault and testgen jobs through it. *)
 
 type outcome = {
   trials : int;
@@ -89,7 +89,8 @@ val run : ?pool:Parallel.Pool.t -> ?domains:int -> config -> Layout.Cell.t
     ([= 2 * tracks_per_trial * trials], one per region crossing query)
     and [fault.<style>.immune] / [fault.<style>.failed] keyed by the
     cell's layout style.
-    @raise Invalid_argument as per {!validate}. *)
+    @raise Invalid_argument with the diagnostic's text when {!validate}
+    refuses [config]. *)
 
 val horizontal_sweep : Layout.Cell.t -> (unit, float list) result
 (** Deterministic immunity check for zero-angle strays: one representative

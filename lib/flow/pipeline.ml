@@ -26,6 +26,7 @@ type result_t = {
   placement : Placer.t;
   cells : Layout.Cell.t list;
   gds_bytes : string;
+  spec_digest : string Lazy.t;
 }
 
 (* Digest helpers: each pass is keyed by what actually feeds it, so an
@@ -57,11 +58,6 @@ let place_params s =
       Printf.sprintf "anneal:%d:%s:%d" c.Anneal.iterations
         (num c.Anneal.start_temp) c.Anneal.seed)
 
-let spec_digest s =
-  Digest.to_hex
-    (Digest.string
-       (source_digest s.source ^ ":" ^ place_params s ^ ":" ^ s.top_name))
-
 (* Stage artifacts thread the spec along so downstream passes see their
    parameters without the passes themselves being parameterized (they must
    be top-level values for the artifact cache to work across runs).
@@ -78,6 +74,16 @@ type staged = {
   netlist : Netlist_ir.t;
   netlist_digest : string Lazy.t;
 }
+
+(* Built from the run's own netlist digest, which for a [`Netlist] source
+   is also its source digest: the job service's pinned [spec_digest]
+   bytes rest on that. *)
+let spec_digest st =
+  lazy
+    (Digest.to_hex
+       (Digest.string
+          (Lazy.force st.netlist_digest ^ ":" ^ place_params st.spec ^ ":"
+         ^ st.spec.top_name)))
 
 type placed = { s : staged; placement : Placer.t }
 type laid_out = { p : placed; cells : Layout.Cell.t list }
@@ -214,6 +220,7 @@ let export_pass =
             placement = l.p.placement;
             cells = l.cells;
             gds_bytes;
+            spec_digest = spec_digest l.p.s;
           })
 
 let flow =

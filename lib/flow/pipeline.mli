@@ -35,6 +35,14 @@ type result_t = {
   placement : Placer.t;
   cells : Layout.Cell.t list;  (** unique layouts referenced by the design *)
   gds_bytes : string;  (** the GDSII stream {!Gds_export.placement} wrote *)
+  spec_digest : string Lazy.t;
+      (** Fingerprint of the whole run: the netlist digest plus every
+          placement parameter ([lib], [scheme], [aspect], [anneal],
+          [top_name]).  Two runs with equal digests produce identical
+          results, so it is a sound whole-run cache key.  It reuses the
+          netlist digest the pass keys share, so a run with a pass cache
+          hashes the netlist once, and a run without one only when this
+          is forced. *)
 }
 
 val pass_names : string list
@@ -45,12 +53,6 @@ val source_digest : [ `Text of string | `Netlist of Netlist_ir.t ] -> string
 (** The fingerprint the [parse] pass is keyed on — exposed so callers
     above the flow (the job service's result cache) can agree with the
     pipeline on what "the same design source" means. *)
-
-val spec_digest : spec -> string
-(** Fingerprint of the complete spec: source digest plus every placement
-    parameter ([lib], [scheme], [aspect], [anneal], [top_name]).  Two
-    specs with equal digests produce identical flow results, so this is a
-    sound whole-run cache key. *)
 
 val telemetry_trace : Core.Pass.trace_event -> unit
 (** Bridge from pass-manager trace events to {!Telemetry} spans: each

@@ -52,8 +52,6 @@ let bbox_of_list = function
   | [] -> empty
   | r :: rs -> List.fold_left union_bbox r rs
 
-let center_x r = (r.x0 + r.x1) / 2
-let center_y r = (r.y0 + r.y1) / 2
 let equal (a : t) (b : t) = a = b
 let compare = Stdlib.compare
 let pp ppf r = Format.fprintf ppf "[%d,%d..%d,%d]" r.x0 r.y0 r.x1 r.y1

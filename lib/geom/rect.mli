@@ -50,9 +50,6 @@ val union_bbox : t -> t -> t
 val bbox_of_list : t list -> t
 (** Bounding box of a list; [empty] for the empty list. *)
 
-val center_x : t -> int
-val center_y : t -> int
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -4,7 +4,6 @@ let empty = []
 let of_rect r = if Rect.is_empty r then [] else [ r ]
 let of_rects rs = List.filter (fun r -> not (Rect.is_empty r)) rs
 let rects t = t
-let add r t = if Rect.is_empty r then t else r :: t
 let union a b = a @ b
 let translate ~dx ~dy t = List.map (Rect.translate ~dx ~dy) t
 let is_empty t = t = []
@@ -47,7 +46,6 @@ let area t =
     sweep 0 xs
 
 let bbox t = Rect.bbox_of_list t
-let contains_point t ~x ~y = List.exists (fun r -> Rect.contains r ~x ~y) t
 let intersects_rect t r = List.exists (fun m -> Rect.intersects m r) t
 
 let complement_rects ~within t =

@@ -14,7 +14,6 @@ val of_rects : Rect.t list -> t
 val rects : t -> Rect.t list
 (** The underlying rectangles (possibly overlapping, in insertion order). *)
 
-val add : Rect.t -> t -> t
 val union : t -> t -> t
 val translate : dx:int -> dy:int -> t -> t
 val is_empty : t -> bool
@@ -23,7 +22,6 @@ val area : t -> int
 (** Exact area of the union in lambda^2 (overlaps counted once). *)
 
 val bbox : t -> Rect.t
-val contains_point : t -> x:int -> y:int -> bool
 
 val intersects_rect : t -> Rect.t -> bool
 (** [intersects_rect rg r] is [true] when any member rectangle shares

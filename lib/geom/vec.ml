@@ -13,5 +13,4 @@ let normalize a =
   if n = 0. then invalid_arg "Vec.normalize: zero vector";
   scale (1. /. n) a
 
-let of_angle theta = { x = cos theta; y = sin theta }
 let pp ppf a = Format.fprintf ppf "(%g, %g)" a.x a.y

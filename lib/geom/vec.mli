@@ -14,7 +14,4 @@ val norm : t -> float
 val normalize : t -> t
 (** @raise Invalid_argument on the zero vector. *)
 
-val of_angle : float -> t
-(** [of_angle theta] is the unit vector at [theta] radians from the x-axis. *)
-
 val pp : Format.formatter -> t -> unit

@@ -35,17 +35,26 @@ let fabric_of ~rules ~style ~polarity ~widths net =
     Immune_old.strip ~rules ~polarity ~widths ~isolation:Immune_old.Bare net
 
 let ( let* ) = Result.bind
+let stage = "cell"
+
+let check_drive ~cell drive =
+  if drive >= 1 then Ok ()
+  else
+    Core.Diag.failf ~stage
+      ~context:[ ("cell", cell); ("drive", string_of_int drive) ]
+      "drive must be >= 1, got %d" drive
+
+let lookup ~name ~drive =
+  match Logic.Cell_fun.find_opt name with
+  | None ->
+    Core.Diag.failf ~stage ~context:[ ("cell", name) ]
+      "unknown cell function %s" name
+  | Some fn ->
+    let* () = check_drive ~cell:fn.Logic.Cell_fun.name drive in
+    Ok fn
 
 let make ~rules ~fn ~style ~scheme ~drive =
-  let stage = "cell" in
-  let* () =
-    if drive >= 1 then Ok ()
-    else
-      Core.Diag.failf ~stage
-        ~context:
-          [ ("cell", fn.Logic.Cell_fun.name); ("drive", string_of_int drive) ]
-        "drive must be >= 1, got %d" drive
-  in
+  let* () = check_drive ~cell:fn.Logic.Cell_fun.name drive in
   let r : Pdk.Rules.t = rules in
   let core = fn.Logic.Cell_fun.core in
   let pdn_net = Logic.Network.of_expr core in
@@ -187,10 +196,6 @@ let drives_of_prepared p ~pun_tracks ~pdn_tracks =
   Logic.Switch_graph.drive_table
     (graph_of_prepared p ~pun_tracks ~pdn_tracks)
     ~inputs:p.inputs
-
-let graph_with t ~pun_extra ~pdn_extra =
-  graph_of_prepared (prepare t) ~pun_tracks:[ pun_extra ]
-    ~pdn_tracks:[ pdn_extra ]
 
 let truth_with t ~pun_extra ~pdn_extra =
   truth_of_prepared (prepare t) ~pun_tracks:[ pun_extra ]

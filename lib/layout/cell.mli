@@ -40,6 +40,12 @@ type t = {
   height : int;
 }
 
+val lookup : name:string -> drive:int -> (Logic.Cell_fun.t, Core.Diag.t) result
+(** The catalog function a job or a command line names, checked against
+    {!make}'s drive bound: an unknown name or a drive below 1 is a [Diag]
+    naming the cell.  Pure — it builds nothing — so admission control can
+    ask it before any work is queued. *)
+
 val make : rules:Pdk.Rules.t -> fn:Logic.Cell_fun.t -> style:style
   -> scheme:scheme -> drive:int -> (t, Core.Diag.t) result
 (** Build the cell.  [drive] is the base (unit-path) transistor width in
@@ -63,15 +69,11 @@ val footprint_area : t -> int
 val pins : t -> (string * Geom.Rect.t) list
 (** Input pin markers, one per input, in the routing channel. *)
 
-val graph_with : t -> pun_extra:Logic.Switch_graph.edge list
-  -> pdn_extra:Logic.Switch_graph.edge list -> Logic.Switch_graph.t
-(** Conduction graph of the cell: nominal CNT rows of both fabrics plus
-    extra (stray-CNT) edges per network region.  Internal nodes of the two
-    fabrics live in disjoint namespaces. *)
-
 val truth_with : t -> pun_extra:Logic.Switch_graph.edge list
   -> pdn_extra:Logic.Switch_graph.edge list -> Logic.Truth.t
-(** Tabulated output of {!graph_with} over the cell inputs. *)
+(** Output of the cell's conduction graph over its inputs: nominal CNT
+    rows of both fabrics plus extra (stray-CNT) edges per network region.
+    Internal nodes of the two fabrics live in disjoint namespaces. *)
 
 val reference_truth : t -> Logic.Truth.t
 (** The intended function [Not core]. *)

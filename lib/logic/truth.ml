@@ -38,7 +38,6 @@ let value t i =
   if i < 0 || i >= size t then invalid_arg "Truth.value: row out of range";
   t.column.(i)
 
-let row_env t i = env_of_row t.names i
 let equal a b = a.names = b.names && a.column = b.column
 let defined_everywhere t = Array.for_all (fun v -> v <> X) t.column
 

@@ -26,9 +26,6 @@ val size : t -> int
 (** Number of rows, [2 ^ (number of inputs)]. *)
 
 val value : t -> int -> value
-val row_env : t -> int -> string -> bool
-(** [row_env t i] is the assignment of row [i].
-    @raise Invalid_argument on unknown input names. *)
 
 val equal : t -> t -> bool
 (** Same inputs (same order) and same column. *)

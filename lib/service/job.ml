@@ -155,6 +155,29 @@ let describe = function
 
 let stage = "service.job"
 
+let injector ~trials ~tracks_per_trial ~max_angle_deg ~seed =
+  {
+    Fault.Injector.default_config with
+    Fault.Injector.trials;
+    tracks_per_trial;
+    max_angle_deg;
+    seed;
+  }
+
+let fault_config (j : fault_job) =
+  injector ~trials:j.trials ~tracks_per_trial:j.tracks_per_trial
+    ~max_angle_deg:j.max_angle_deg ~seed:j.seed
+
+let testgen_config (j : testgen_job) =
+  {
+    Testgen.Campaign.fault =
+      injector ~trials:j.tg_trials ~tracks_per_trial:j.tg_tracks_per_trial
+        ~max_angle_deg:j.tg_max_angle_deg ~seed:j.tg_seed;
+    max_spares = j.tg_max_spares;
+    p_good = j.tg_p_good;
+    max_extra_tubes = j.tg_max_extra_tubes;
+  }
+
 (* The engine owns the knob-space semantics; a dse job is validated by
    building the very config {!Runner} will run. *)
 let dse_config (j : dse_job) =
@@ -178,15 +201,14 @@ let dse_config (j : dse_job) =
     adaptive = j.dse_adaptive;
   }
 
-(* the injector's range: a NaN or infinite angle sprays NaN tracks *)
-let angle_ok kind a =
-  if a >= 0. && a <= 90. then Ok ()
-  else
-    Core.Diag.failf ~stage
-      ~context:[ ("max_angle_deg", string_of_float a) ]
-      "%s job: max_angle_deg must be a finite angle in [0, 90]" kind
+let ( let* ) = Result.bind
 
-let validate = function
+(* Only the service's own budgets are decided here.  Every other rule is
+   asked of the module that owns it, on the config {!Runner} runs, and
+   its diagnostic is re-staged (keeping the owner as its origin). *)
+let validate job =
+  let owner r = Result.map_error (Core.Diag.with_stage stage) r in
+  match job with
   | Flow j ->
     if j.aspect <= 0. || not (Float.is_finite j.aspect) then
       Core.Diag.failf ~stage
@@ -204,84 +226,31 @@ let validate = function
         Core.Diag.fail ~stage "flow job: empty design spec"
       | _ -> Ok ())
   | Fault j ->
-    if Logic.Cell_fun.find_opt j.cell = None then
-      Core.Diag.failf ~stage
-        ~context:[ ("cell", j.cell) ]
-        "fault job: unknown cell function %s" j.cell
-    else if j.drive < 1 then
-      Core.Diag.failf ~stage
-        ~context:[ ("drive", string_of_int j.drive) ]
-        "fault job: drive must be positive"
-    else if j.trials <= 0 then
-      Core.Diag.failf ~stage
-        ~context:[ ("trials", string_of_int j.trials) ]
-        "fault job: trials must be positive"
-    else if j.tracks_per_trial < 0 then
-      Core.Diag.failf ~stage
-        ~context:[ ("tracks_per_trial", string_of_int j.tracks_per_trial) ]
-        "fault job: tracks_per_trial must be non-negative"
-    else angle_ok "fault" j.max_angle_deg
+    owner
+      (let* _ = Layout.Cell.lookup ~name:j.cell ~drive:j.drive in
+       Fault.Injector.validate (fault_config j))
   | Characterize j ->
-    if Logic.Cell_fun.find_opt j.char_cell = None then
-      Core.Diag.failf ~stage
-        ~context:[ ("cell", j.char_cell) ]
-        "characterize job: unknown cell function %s" j.char_cell
-    else if j.char_drive < 1 then
-      Core.Diag.failf ~stage
-        ~context:[ ("drive", string_of_int j.char_drive) ]
-        "characterize job: drive must be positive"
-    else if j.loads = [] then
-      Core.Diag.fail ~stage "characterize job: empty load sweep"
-    else (
-      match List.find_opt (fun l -> l < 0) j.loads with
-      | Some l ->
-        Core.Diag.failf ~stage
-          ~context:[ ("load", string_of_int l) ]
-          "characterize job: loads must be non-negative"
-      | None -> Ok ())
+    owner
+      (let* _ = Stdcell.Library.offers ~name:j.char_cell ~drive:j.char_drive in
+       Stdcell.Characterize.check_loads ~cell:j.char_cell j.loads)
   | Testgen j ->
-    if Logic.Cell_fun.find_opt j.tg_cell = None then
-      Core.Diag.failf ~stage
-        ~context:[ ("cell", j.tg_cell) ]
-        "testgen job: unknown cell function %s" j.tg_cell
-    else if j.tg_drive < 1 then
-      Core.Diag.failf ~stage
-        ~context:[ ("drive", string_of_int j.tg_drive) ]
-        "testgen job: drive must be positive"
-    else if j.tg_trials <= 0 then
-      Core.Diag.failf ~stage
-        ~context:[ ("trials", string_of_int j.tg_trials) ]
-        "testgen job: trials must be positive"
-    else if j.tg_tracks_per_trial < 0 then
-      Core.Diag.failf ~stage
-        ~context:[ ("tracks_per_trial", string_of_int j.tg_tracks_per_trial) ]
-        "testgen job: tracks_per_trial must be non-negative"
-    else if j.tg_max_spares < 0 then
-      Core.Diag.failf ~stage
-        ~context:[ ("max_spares", string_of_int j.tg_max_spares) ]
-        "testgen job: max_spares must be non-negative"
-    else if
-      j.tg_p_good < 0. || j.tg_p_good > 1.
-      || not (Float.is_finite j.tg_p_good)
-    then
-      Core.Diag.failf ~stage
-        ~context:[ ("p_good", string_of_float j.tg_p_good) ]
-        "testgen job: p_good must lie in [0, 1]"
-    else if j.tg_max_extra_tubes < 0 then
-      Core.Diag.failf ~stage
-        ~context:[ ("max_extra_tubes", string_of_int j.tg_max_extra_tubes) ]
-        "testgen job: max_extra_tubes must be non-negative"
-    else angle_ok "testgen" j.tg_max_angle_deg
+    owner
+      (let* _ = Layout.Cell.lookup ~name:j.tg_cell ~drive:j.tg_drive in
+       Testgen.Campaign.validate (testgen_config j))
   | Dse j ->
-    if Logic.Cell_fun.find_opt j.dse_cell = None then
-      Core.Diag.failf ~stage
-        ~context:[ ("cell", j.dse_cell) ]
-        "dse job: unknown cell function %s" j.dse_cell
-    else if j.dse_max_trials > 20_000 then
+    if j.dse_max_trials > 20_000 then
       Core.Diag.failf ~stage
         ~context:[ ("max_trials", string_of_int j.dse_max_trials) ]
         "dse job: max_trials above the 20000 service budget"
-    else Dse.Engine.validate (dse_config j)
+    else
+      owner
+        (let* () = Dse.Engine.validate (dse_config j) in
+         (* the engine characterizes the cell at every drive of the axis *)
+         List.fold_left
+           (fun acc drive ->
+             let* () = acc in
+             Result.map ignore (Stdcell.Library.offers ~name:j.dse_cell ~drive))
+           (Ok ()) j.dse_drives)
 
 (* The cache key: a stable fingerprint of every field that affects the
    result.  Flow jobs reuse the pipeline's own source digests so the
@@ -409,7 +378,6 @@ let to_json t =
    constructors above. *)
 
 let protocol = "service.protocol"
-let ( let* ) = Result.bind
 
 let ill_typed name what =
   Core.Diag.failf ~stage:protocol

@@ -113,10 +113,17 @@ val dse :
     metallic fractions [0.01;0.1;0.33], removal [0.95;0.999], drives
     [1;2], both schemes, load 2, 400 trials, seed 42, adaptive. *)
 
+val fault_config : fault_job -> Fault.Injector.config
+(** The campaign configuration a fault job runs as.  Like {!dse_config}
+    and {!testgen_config} it is shared by {!validate} (which asks the
+    engine about exactly this config) and {!Runner}, so admission control
+    and execution can never disagree on semantics. *)
+
+val testgen_config : testgen_job -> Testgen.Campaign.config
+(** The campaign configuration a testgen job runs as. *)
+
 val dse_config : dse_job -> Dse.Engine.config
-(** The engine configuration a dse job runs as — shared by {!validate}
-    (which validates exactly this config) and {!Runner}, so admission
-    control and execution can never disagree on semantics. *)
+(** The engine configuration a dse job runs as. *)
 
 val kind : t -> string
 (** ["flow"], ["fault"], ["characterize"], ["testgen"] or ["dse"] — the
@@ -136,11 +143,18 @@ val describe : t -> string
 (** One-line human summary for logs and telemetry attributes. *)
 
 val validate : t -> (unit, Core.Diag.t) result
-(** Admission-control check: field domains a queued job would only
-    discover at run time (non-positive trials, a misposition angle that is
-    not a finite value in [0, 90], empty load sweep, unknown layout style
-    never happens — it is typed — but unknown cells do).
-    Rejected submissions never enter the queue. *)
+(** Admission-control check, without building a library or a cell.  It
+    decides only the service's own budgets: a dse [max_trials] of at most
+    20000, ripple bits in 1..64, a positive finite flow aspect, and a
+    non-empty netlist text and design spec.  Every other rule is asked of
+    its owner on the config {!Runner} runs: {!Layout.Cell.lookup} (the
+    cell and the drive of fault and testgen jobs),
+    {!Stdcell.Library.offers} (the cell at a characterize job's drive and
+    at every drive of a dse axis), {!Stdcell.Characterize.check_loads},
+    {!Fault.Injector.validate}, {!Testgen.Campaign.validate} and
+    {!Dse.Engine.validate}.  Their diagnostics come back with stage
+    ["service.job"] and the owner's stage as [origin].  Rejected
+    submissions never enter the queue. *)
 
 val digest : t -> string
 (** Stable hex fingerprint of the full description; the result-cache

@@ -15,21 +15,8 @@ let guard job f =
   | exception e -> fail ("unexpected exception: " ^ Printexc.to_string e)
 
 let make_cell ~name ~style ~scheme ~drive =
-  match Logic.Cell_fun.find_opt name with
-  | Some fn -> Layout.Cell.make ~rules ~fn ~style ~scheme ~drive
-  | None ->
-    Core.Diag.failf ~stage:"service.run"
-      ~context:[ ("cell", name) ]
-      "unknown cell function %s" name
-
-let injector ~trials ~tracks_per_trial ~max_angle_deg ~seed =
-  {
-    Fault.Injector.default_config with
-    Fault.Injector.trials;
-    tracks_per_trial;
-    max_angle_deg;
-    seed;
-  }
+  let* fn = Layout.Cell.lookup ~name ~drive in
+  Layout.Cell.make ~rules ~fn ~style ~scheme ~drive
 
 let fault ~pool (j : Job.fault_job) =
   guard (Job.Fault j) @@ fun () ->
@@ -37,11 +24,7 @@ let fault ~pool (j : Job.fault_job) =
     make_cell ~name:j.Job.cell ~style:j.Job.style ~scheme:Layout.Cell.Scheme1
       ~drive:j.Job.drive
   in
-  let config =
-    injector ~trials:j.Job.trials ~tracks_per_trial:j.Job.tracks_per_trial
-      ~max_angle_deg:j.Job.max_angle_deg ~seed:j.Job.seed
-  in
-  Ok (cell, Fault.Injector.run ~pool config cell)
+  Ok (cell, Fault.Injector.run ~pool (Job.fault_config j) cell)
 
 let fault_json ((cell : Layout.Cell.t), (o : Fault.Injector.outcome)) =
   Json.Obj
@@ -63,18 +46,7 @@ let testgen ~pool (j : Job.testgen_job) =
     make_cell ~name:j.Job.tg_cell ~style:j.Job.tg_style
       ~scheme:(Job.cell_scheme j.Job.tg_scheme) ~drive:j.Job.tg_drive
   in
-  let config =
-    {
-      Testgen.Campaign.fault =
-        injector ~trials:j.Job.tg_trials
-          ~tracks_per_trial:j.Job.tg_tracks_per_trial
-          ~max_angle_deg:j.Job.tg_max_angle_deg ~seed:j.Job.tg_seed;
-      max_spares = j.Job.tg_max_spares;
-      p_good = j.Job.tg_p_good;
-      max_extra_tubes = j.Job.tg_max_extra_tubes;
-    }
-  in
-  Ok (Testgen.Campaign.run ~pool config cell)
+  Ok (Testgen.Campaign.run ~pool (Job.testgen_config j) cell)
 
 let testgen_json (r : Testgen.Campaign.result) =
   let d = r.Testgen.Campaign.dictionary in
@@ -228,7 +200,6 @@ let dse_json (o : Dse.Engine.outcome) =
     ]
 
 type flow_run = {
-  spec : Flow.Pipeline.spec;
   outcome : (Flow.Pipeline.result_t, Core.Diag.t) result;
   report : Core.Pass.report;
 }
@@ -254,10 +225,10 @@ let flow ?pass_cache ?trace (j : Job.flow_job) =
       ~lib netlist
   in
   let outcome, report = Flow.Pipeline.run ?cache:pass_cache ?trace spec in
-  Ok { spec; outcome; report }
+  Ok { outcome; report }
 
 (* Sizes and metrics, never timings — see the mli determinism note. *)
-let flow_json spec (r : Flow.Pipeline.result_t) =
+let flow_json (r : Flow.Pipeline.result_t) =
   let netlist = r.Flow.Pipeline.netlist and p = r.Flow.Pipeline.placement in
   Json.Obj
     [
@@ -268,14 +239,13 @@ let flow_json spec (r : Flow.Pipeline.result_t) =
       ("die_height", Json.int p.Flow.Placer.die_height);
       ("utilization", Json.Num (Flow.Placer.utilization p));
       ("gds_bytes", Json.int (String.length r.Flow.Pipeline.gds_bytes));
-      ("spec_digest", Json.Str (Flow.Pipeline.spec_digest spec));
+      ("spec_digest", Json.Str (Lazy.force r.Flow.Pipeline.spec_digest));
     ]
 
 let run ~pool ~pass_cache = function
   | Job.Flow j ->
     let* f = flow ~pass_cache j in
-    let* r = f.outcome in
-    Ok (flow_json f.spec r)
+    Result.map flow_json f.outcome
   | Job.Fault j -> Result.map fault_json (fault ~pool j)
   | Job.Characterize j -> Result.map characterize_json (characterize ~pool j)
   | Job.Testgen j -> Result.map testgen_json (testgen ~pool j)

@@ -41,7 +41,6 @@ val dse :
   (Dse.Engine.outcome, Core.Diag.t) result
 
 type flow_run = {
-  spec : Flow.Pipeline.spec;
   outcome : (Flow.Pipeline.result_t, Core.Diag.t) result;
   report : Core.Pass.report;  (** the passes that ran, also on error *)
 }

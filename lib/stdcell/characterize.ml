@@ -34,19 +34,27 @@ let vdd_of lib =
   | Library.Cnfet_tech t -> t.Device.Cnfet.vdd
   | Library.Cmos_tech t -> t.Device.Mosfet.vdd
 
-(* The one load check: [arc] (and through it [all_arcs]) and [sweep] all
-   refuse a negative load before simulating anything. *)
-let check_load (entry : Library.entry) load =
+(* The one load check: [arc] (and through it [all_arcs]) and
+   [check_loads] refuse a negative load before simulating anything. *)
+let check_load ~cell load =
   if load >= 0 then Ok ()
   else
     Core.Diag.failf ~stage:"characterize"
-      ~context:
-        [ ("cell", entry.Library.cell_name); ("load", string_of_int load) ]
+      ~context:[ ("cell", cell); ("load", string_of_int load) ]
       "negative load %d" load
+
+let check_loads ~cell loads =
+  if loads = [] then
+    Core.Diag.fail ~stage:"characterize" ~context:[ ("cell", cell) ]
+      "empty load sweep"
+  else
+    List.fold_left
+      (fun acc l -> Result.bind acc (fun () -> check_load ~cell l))
+      (Ok ()) loads
 
 let arc ?variation ~lib (entry : Library.entry) ~input ~load_inv1x =
   let ( let* ) = Result.bind in
-  let* () = check_load entry load_inv1x in
+  let* () = check_load ~cell:entry.Library.cell_name load_inv1x in
   let vdd = vdd_of lib in
   let period = 2e-9 in
   let net = Circuit.Netlist.create () in
@@ -160,16 +168,7 @@ let all_arcs_exn ?variation ~lib entry ~load_inv1x =
 
 let sweep ?pool ?variation ~lib (entry : Library.entry) ~loads =
   let ( let* ) = Result.bind in
-  let* () =
-    if loads = [] then
-      Core.Diag.fail ~stage:"characterize"
-        ~context:[ ("cell", entry.Library.cell_name) ]
-        "empty load sweep"
-    else
-      List.fold_left
-        (fun acc l -> Result.bind acc (fun () -> check_load entry l))
-        (Ok ()) loads
-  in
+  let* () = check_loads ~cell:entry.Library.cell_name loads in
   let points = Array.of_list loads in
   let at i = all_arcs ?variation ~lib entry ~load_inv1x:points.(i) in
   let results =

@@ -42,12 +42,17 @@ val all_arcs_exn : ?variation:Device.Variation.sampler -> lib:Library.t
   -> Library.entry -> load_inv1x:int -> arc list
 (** {!all_arcs}, raising [Core.Diag.Failure].  CLI/test boundary shim. *)
 
+val check_loads : cell:string -> int list -> (unit, Core.Diag.t) result
+(** The load-sweep rule {!sweep} applies before it simulates anything: a
+    non-empty sweep of non-negative INV1X loads.  The error names [cell]
+    and, for a negative point, the load. *)
+
 val sweep : ?pool:Parallel.Pool.t -> ?variation:Device.Variation.sampler
   -> lib:Library.t -> Library.entry
   -> loads:int list -> ((int * arc list) list, Core.Diag.t) result
 (** Characterize the cell at every load point, in the order given:
     [(load, arcs)] per point.  A zero load measures the unloaded cell
-    (only its own parasitics); an empty or negative sweep is a [Diag]
+    (only its own parasitics); a sweep {!check_loads} refuses is a [Diag]
     error naming the offending point.  With [?pool] the points are
     simulated in parallel on the given {!Parallel.Pool}; results (and the
     first error, in sweep order) are identical at any pool size, since

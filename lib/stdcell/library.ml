@@ -68,7 +68,32 @@ let entry_of ~rules ~technology ~style fn drive =
       width_lambda_base = base;
     }
 
-let catalog = Logic.Cell_fun.all
+(* Cells that synthesis maps at every requested drive; the rest of the
+   catalog is built at drive 1 only.  AOI21/OAI21 and the complemented-pin
+   XOR2/MUX2 join INV/NAND2 here so generated netlists (multipliers,
+   LFSRs, random clouds) can be drive-sized.  [build] and [offers] both
+   read this one list. *)
+let sized = Logic.Cell_fun.[ inv; nand 2; aoi21; oai21; xor2; mux2 ]
+
+let is_sized (fn : Logic.Cell_fun.t) =
+  List.exists (fun f -> f.Logic.Cell_fun.name = fn.Logic.Cell_fun.name) sized
+
+(* the drives [build ~drives] makes [fn] at *)
+let drives_of fn drives = if is_sized fn then drives else [ 1 ]
+
+let offers ~name ~drive =
+  let* fn = Layout.Cell.lookup ~name ~drive in
+  if List.mem drive (drives_of fn [ drive ]) then Ok fn
+  else
+    Core.Diag.failf ~stage:"library"
+      ~context:
+        [
+          ("cell", fn.Logic.Cell_fun.name);
+          ("drive", string_of_int drive);
+          ("available_drives", "1");
+        ]
+      "no cell %s at drive %d: the library builds it at drive 1 only"
+      fn.Logic.Cell_fun.name drive
 
 (* Sequence a list of fallible builds, keeping the order. *)
 let collect xs =
@@ -89,40 +114,17 @@ let build ?(pitch_nm = optimal_pitch_nm) ~lib_name ~rules ~technology ~style
         ~context:[ ("pitch_nm", string_of_float pitch_nm) ]
         "CNT pitch must be positive and finite"
   in
-  (* Cells that synthesis maps at every requested drive; the rest of the
-     catalog is built at drive 1 only.  AOI21/OAI21 and the complemented-pin
-     XOR2/MUX2 join INV/NAND2 here so generated netlists (multipliers,
-     LFSRs, random clouds) can be drive-sized. *)
-  let sized_fns =
-    [
-      Logic.Cell_fun.inv;
-      Logic.Cell_fun.nand 2;
-      Logic.Cell_fun.aoi21;
-      Logic.Cell_fun.oai21;
-      Logic.Cell_fun.xor2;
-      Logic.Cell_fun.mux2;
-    ]
+  let fns =
+    sized @ List.filter (fun fn -> not (is_sized fn)) Logic.Cell_fun.all
   in
-  let* sized =
+  let* entries =
     collect
       (List.concat_map
          (fun fn ->
-           List.map (fun d -> entry_of ~rules ~technology ~style fn d) drives)
-         sized_fns)
+           List.map (entry_of ~rules ~technology ~style fn) (drives_of fn drives))
+         fns)
   in
-  let* table1 =
-    collect
-      (List.filter_map
-         (fun fn ->
-           if
-             List.exists
-               (fun f -> f.Logic.Cell_fun.name = fn.Logic.Cell_fun.name)
-               sized_fns
-           then None
-           else Some (entry_of ~rules ~technology ~style fn 1))
-         catalog)
-  in
-  Ok { lib_name; rules; pitch_nm; entries = sized @ table1 }
+  Ok { lib_name; rules; pitch_nm; entries }
 
 let relabel lib_name r =
   Result.map_error

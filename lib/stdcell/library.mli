@@ -46,10 +46,18 @@ val factory : t -> Gate_netlist.factory
     populated with tubes at the optimal pitch, CMOS pMOS widths are scaled
     by the rules' P/N ratio. *)
 
+val offers : name:string -> drive:int -> (Logic.Cell_fun.t, Core.Diag.t) result
+(** Whether {!cnfet} and {!cmos} build cell [name] at [drive] when asked
+    for that drive: INV, NAND2, AOI21, OAI21, XOR2 and MUX2 exist at every
+    drive, the rest of the catalog at drive 1 only.  An unknown name, a
+    drive below 1 ({!Layout.Cell.lookup}) or an absent pair is a [Diag]
+    naming the cell and the drive.  Pure: it builds no cell, and the
+    library's entries come from the same list. *)
+
 val cnfet : ?tech:Device.Cnfet.tech -> ?rules:Pdk.Rules.t -> ?pitch_nm:float
   -> drives:int list -> unit -> (t, Core.Diag.t) result
-(** CNFET library over INV and NAND2 plus the Table 1 catalog at drive 1,
-    and all [drives] for INV/NAND2 (the full-adder case study sizes).
+(** CNFET library: the cells {!offers} sizes at every one of [drives],
+    the rest of the catalog at drive 1.
     [pitch_nm] (default {!optimal_pitch_nm}) sets the grown CNT pitch the
     factory populates devices at — the DSE engine's density knob.
     Invalid drives, a non-positive pitch (and any cell-construction

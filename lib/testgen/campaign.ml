@@ -14,20 +14,21 @@ let default_config =
   }
 
 let validate config =
-  Fault.Injector.validate config.fault;
+  let ( let* ) = Result.bind in
+  let* () = Fault.Injector.validate config.fault in
+  let fail field value msg =
+    Core.Diag.fail ~stage:"testgen.campaign" ~context:[ (field, value) ] msg
+  in
   if config.max_spares < 0 then
-    invalid_arg
-      (Printf.sprintf "Testgen.Campaign.run: max_spares must be non-negative (got %d)"
-         config.max_spares);
-  if not (config.p_good >= 0. && config.p_good <= 1.) then
-    invalid_arg
-      (Printf.sprintf "Testgen.Campaign.run: p_good must be in [0, 1] (got %g)"
-         config.p_good);
-  if config.max_extra_tubes < 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Testgen.Campaign.run: max_extra_tubes must be non-negative (got %d)"
-         config.max_extra_tubes)
+    fail "max_spares" (string_of_int config.max_spares)
+      "max_spares must be non-negative"
+  else if not (config.p_good >= 0. && config.p_good <= 1.) then
+    fail "p_good" (string_of_float config.p_good) "p_good must lie in [0, 1]"
+  else if config.max_extra_tubes < 0 then
+    fail "max_extra_tubes"
+      (string_of_int config.max_extra_tubes)
+      "max_extra_tubes must be non-negative"
+  else Ok ()
 
 type result = {
   cell : string;
@@ -50,7 +51,8 @@ end)
 let chunk_for trials = max 1 ((trials + 31) / 32)
 
 let run ?pool ?(domains = 1) config (cell : Layout.Cell.t) =
-  validate config;
+  Result.iter_error (fun d -> invalid_arg (Core.Diag.to_string d))
+    (validate config);
   Telemetry.with_span "testgen.campaign"
     ~attrs:
       [

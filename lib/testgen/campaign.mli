@@ -25,10 +25,9 @@ val default_config : config
 (** {!Fault.Injector.default_config} trials, 2 spares, p_good 0.9,
     4 extra tubes. *)
 
-val validate : config -> unit
-(** @raise Invalid_argument on negative budgets or [p_good] outside
-    [0, 1] (in addition to {!Fault.Injector.validate} on the campaign
-    fields). *)
+val validate : config -> (unit, Core.Diag.t) result
+(** {!Fault.Injector.validate} on the campaign fields, then a [Diag]
+    naming the field on a negative budget or a [p_good] outside [0, 1]. *)
 
 type result = {
   cell : string;
@@ -46,4 +45,5 @@ val run :
     existing [?pool] (the job service's long-lived workers; [domains] is
     then ignored).  Deterministic: the result depends only on [config]
     and the cell, never on [domains], the pool size or scheduling.
-    @raise Invalid_argument as per {!validate}. *)
+    @raise Invalid_argument with the diagnostic's text when {!validate}
+    refuses [config]. *)

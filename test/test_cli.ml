@@ -21,8 +21,8 @@ let cnfet_dk args =
   let err = Filename.temp_file "cnfet_dk" ".err" in
   let status =
     Sys.command
-      (Filename.quote_command "../bin/cnfet_dk.exe" args ~stdout:out
-         ~stderr:err)
+      (Filename.quote_command "../bin/cnfet_dk.exe" args ~stdin:"/dev/null"
+         ~stdout:out ~stderr:err)
   in
   let o = slurp out and e = slurp err in
   Sys.remove out;
@@ -158,13 +158,40 @@ let rejected args ~names =
 
 let unknown_cell_exits_2 () =
   List.iter
-    (rejected ~names:"unknown cell function FOO (cell=FOO)")
+    (rejected ~names:"unknown cell function FOO (cell=FOO")
     [
       [ "layout"; "FOO" ];
       [ "fault"; "FOO" ];
       [ "test-gen"; "--cell"; "FOO" ];
       [ "characterize"; "FOO" ];
       [ "dse"; "--cell"; "FOO" ];
+    ]
+
+(* NOR2 exists at drive 1 only: characterize's default drive 4 and dse's
+   default drive axis 1,2 are refused before any library is built *)
+let absent_drive_exits_2 () =
+  List.iter
+    (fun (args, drive) ->
+      rejected args
+        ~names:
+          (Printf.sprintf
+             "service.job: error: no cell NOR2 at drive %d: the library \
+              builds it at drive 1 only"
+             drive))
+    [ ([ "characterize"; "NOR2" ], 4); ([ "dse"; "--cell"; "NOR2" ], 2) ]
+
+(* An output path in a missing directory is refused before the job runs:
+   no work, no stdout, a Diag naming the path. *)
+let unwritable_output_exits_2 () =
+  let bad = "/nonexistent-cnfet-dk-dir/out" in
+  List.iter
+    (rejected ~names:("output: error: cannot write " ^ bad))
+    [
+      [ "flow"; "--design"; "mult8"; "-o"; bad ];
+      [ "layout"; "NAND2"; "--gds"; bad ];
+      dse_args @ [ "--csv"; bad ];
+      [ "serve"; "--event-log"; bad ];
+      [ "fault"; "NAND2"; "--trials"; "50"; "--trace-out"; bad ];
     ]
 
 let negative_load_exits_2 () =
@@ -181,4 +208,7 @@ let suite =
     Alcotest.test_case "json matches runner" `Quick json_matches_runner;
     Alcotest.test_case "unknown cell exits 2" `Quick unknown_cell_exits_2;
     Alcotest.test_case "negative load exits 2" `Quick negative_load_exits_2;
+    Alcotest.test_case "absent drive exits 2" `Quick absent_drive_exits_2;
+    Alcotest.test_case "unwritable output exits 2" `Quick
+      unwritable_output_exits_2;
   ]

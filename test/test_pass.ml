@@ -35,6 +35,31 @@ let diag_with_stage () =
   checkb "no origin when unchanged" true
     (List.assoc_opt "origin" same.Core.Diag.context = None)
 
+(* Re-staging twice (an owner's diagnostic re-staged by Job.validate,
+   then by the scheduler) keeps the innermost stage as the one origin, so
+   the JSON context has no duplicate key. *)
+let diag_restaged_one_origin () =
+  let d =
+    Core.Diag.error ~stage:"library" ~context:[ ("cell", "NOR2") ] "missing"
+    |> Core.Diag.with_stage "service.job"
+    |> Core.Diag.with_stage "service.scheduler"
+  in
+  check_str "outer stage" "service.scheduler" d.Core.Diag.stage;
+  Alcotest.(check (list (pair string string)))
+    "one origin, the innermost"
+    [ ("cell", "NOR2"); ("origin", "library") ]
+    d.Core.Diag.context;
+  match
+    Core.Json.of_string (Core.Json.to_string (Core.Diag.to_json d))
+    |> Result.to_option
+    |> Fun.flip Option.bind (Core.Json.member "context")
+  with
+  | Some (Core.Json.Obj kvs) ->
+    let keys = List.map fst kvs in
+    check_int "unique context keys" (List.length keys)
+      (List.length (List.sort_uniq compare keys))
+  | _ -> Alcotest.fail "no context object"
+
 let diag_with_context () =
   let d = Core.Diag.error ~stage:"s" ~context:[ ("a", "1") ] "m" in
   let d = Core.Diag.with_context [ ("b", "2") ] d in
@@ -291,6 +316,8 @@ let suite =
   [
     Alcotest.test_case "diag to_string" `Quick diag_to_string;
     Alcotest.test_case "diag with_stage" `Quick diag_with_stage;
+    Alcotest.test_case "diag re-staged keeps one origin" `Quick
+      diag_restaged_one_origin;
     Alcotest.test_case "diag with_context" `Quick diag_with_context;
     Alcotest.test_case "diag json" `Quick diag_json;
     Alcotest.test_case "diag ok_exn" `Quick diag_ok_exn;

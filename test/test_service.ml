@@ -401,6 +401,69 @@ let job_validate_and_digest () =
   checkb "testgen and fault digests differ" true
     (t1 <> Job.digest (Job.fault ~style:Layout.Cell.Vulnerable "NAND2"))
 
+(* Admission asks the library which (cell, drive) pairs exist: a
+   characterize job, or a dse axis, at a drive the library does not build
+   is refused before any library is built, naming the cell and the drive. *)
+let job_validate_asks_library () =
+  List.iter
+    (fun (what, job, cell) ->
+      match Job.validate job with
+      | Ok () -> Alcotest.failf "%s accepted" what
+      | Error d ->
+        check_str (what ^ ": stage") "service.job" d.Core.Diag.stage;
+        List.iter
+          (fun (k, v) ->
+            check_str (what ^ ": " ^ k) v
+              (Option.value ~default:"" (List.assoc_opt k d.Core.Diag.context)))
+          [ ("cell", cell); ("drive", "2"); ("origin", "library") ])
+    [
+      ("characterize NOR2 at drive 2", Job.characterize ~drive:2 "NOR2", "NOR2");
+      ("default dse NOR3", Job.dse "NOR3", "NOR3");
+    ]
+
+(* The admission predicate and the library's entries come from one list:
+   a characterize job passes exactly when the library built at its drive
+   has the cell. *)
+let job_validate_matches_library () =
+  List.iter
+    (fun drive ->
+      let lib = Core.Diag.ok_exn (Stdcell.Library.cnfet ~drives:[ drive ] ()) in
+      List.iter
+        (fun (fn : Logic.Cell_fun.t) ->
+          checkb
+            (Printf.sprintf "%s at drive %d" fn.name drive)
+            (Result.is_ok (Stdcell.Library.find lib ~name:fn.name ~drive))
+            (Result.is_ok
+               (Job.validate (Job.characterize ~drive ~loads:[ 1 ] fn.name))))
+        Logic.Cell_fun.all)
+    [ 1; 2; 3; 4 ]
+
+(* A served flow job's spec digest comes from the run's own netlist
+   digest; its bytes were captured when the runner hashed the netlist
+   again after the run. *)
+let flow_spec_digest_pinned () =
+  let spec_digest job =
+    Parallel.Pool.with_pool ~domains:1 @@ fun pool ->
+    match
+      Service.Runner.run ~pool ~pass_cache:(Core.Pass.cache_create ()) job
+    with
+    | Ok doc ->
+      Option.get (Option.bind (Json.member "spec_digest" doc) Json.to_str)
+    | Error d -> Alcotest.fail (Core.Diag.to_string d)
+  in
+  check_str "full_adder" "aec95d7f20f195e2c741949001b942b3"
+    (spec_digest (Job.flow Job.Full_adder));
+  let tiny = "design tiny\ninput A\noutput Z\ninst u1 INV 1 out=Z A=A\n" in
+  check_str "netlist text" "7a1f8bc717ad0b12646ca73ee1f5c9df"
+    (spec_digest (Job.flow ~scheme:`S1 ~aspect:2. (Job.Netlist_text tiny)));
+  (* without a pass cache nothing asks for a key, so nothing is hashed *)
+  let lib = Core.Diag.ok_exn (Stdcell.Library.cnfet ~drives:[ 1 ] ()) in
+  match fst (Flow.Pipeline.run (Flow.Pipeline.spec_of_text ~lib tiny)) with
+  | Ok r ->
+    checkb "cache-less run leaves the digest unforced" false
+      (Lazy.is_val r.Flow.Pipeline.spec_digest)
+  | Error d -> Alcotest.fail (Core.Diag.to_string d)
+
 (* Digest floats enter exactly: jobs past the sixth significant digit of
    a float field get their own keys, while floats of six digits or fewer
    keep the keys they always had. *)
@@ -499,9 +562,11 @@ let job_gen =
     and+ seed = small 42 in
     Job.fault ~drive ~style ~trials ~tracks_per_trial ~max_angle_deg ~seed cell
   in
+  (* the library builds NOR3 at drive 1 only (Stdcell.Library.offers) *)
+  let library_drive cell = if cell = "NOR3" then return 1 else small 1 in
   let characterize =
-    let+ cell
-    and+ drive = small 1
+    cell >>= fun cell ->
+    let+ drive = library_drive cell
     and+ loads = list_size (int_range 1 2) (small 1) in
     Job.characterize ~drive ~loads cell
   in
@@ -521,12 +586,12 @@ let job_gen =
       ~seed ~max_spares ~p_good ~max_extra_tubes cell
   in
   let dse =
-    let+ cell
-    and+ style
+    cell >>= fun cell ->
+    let+ style
     and+ pitches = axis 4. 1. 20.
     and+ p_metallic = axis 0.1 0. 1.
     and+ removal = axis 0.999 0. 1.
-    and+ drives = list_size (int_range 1 2) (small 1)
+    and+ drives = list_size (int_range 1 2) (library_drive cell)
     and+ schemes = oneofl [ [ `S1 ]; [ `S2 ]; [ `S1; `S2 ] ]
     and+ load = small 2
     and+ max_trials = small 60
@@ -1570,6 +1635,12 @@ let suite =
     Alcotest.test_case "job codec rejects" `Quick job_codec_rejects;
     Alcotest.test_case "job validate and digest" `Quick
       job_validate_and_digest;
+    Alcotest.test_case "job validate asks the library" `Quick
+      job_validate_asks_library;
+    Alcotest.test_case "job validate matches the library" `Quick
+      job_validate_matches_library;
+    Alcotest.test_case "flow spec digest pinned" `Quick
+      flow_spec_digest_pinned;
     Alcotest.test_case "digest floats exact" `Quick digest_floats_exact;
     Alcotest.test_case "flow pass cache keys exact aspect" `Quick
       flow_pass_cache_exact_aspect;
