@@ -783,8 +783,7 @@ let serve_cmd =
     in
     let config =
       {
-        Service.Scheduler.default_config with
-        domains;
+        Service.Scheduler.domains;
         capacity;
         cache_dir = (if no_cache then None else Some cache_dir);
         clock =

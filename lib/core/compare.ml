@@ -31,9 +31,9 @@ let table1_cells =
     Logic.Cell_fun.oai21;
   ]
 
-let table1 ?(rules = Pdk.Rules.default) ?(sizes = [ 3; 4; 6; 10 ]) () =
+let table1 ?(rules = Pdk.Rules.default) () =
   List.concat_map
-    (fun fn -> List.map (fun size -> row ~rules fn ~size) sizes)
+    (fun fn -> List.map (fun size -> row ~rules fn ~size) [ 3; 4; 6; 10 ])
     table1_cells
 
 (* Published Table 1 (percent area difference vs [6]). *)

@@ -12,7 +12,7 @@ type row = {
 
 val row : ?rules:Pdk.Rules.t -> Logic.Cell_fun.t -> size:int -> row
 
-val table1 : ?rules:Pdk.Rules.t -> ?sizes:int list -> unit -> row list
+val table1 : ?rules:Pdk.Rules.t -> unit -> row list
 (** The paper's Table 1: INV, NAND2/NOR2, NAND3/NOR3, AOI22/OAI22,
     AOI21/OAI21 at sizes 3, 4, 6 and 10 lambda. *)
 

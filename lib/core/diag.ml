@@ -82,10 +82,6 @@ let pp fmt d = Format.pp_print_string fmt (to_string d)
 
 let ok_exn = function Ok x -> x | Stdlib.Error d -> raise (Failure d)
 
-let of_msg ~stage = function
-  | Ok _ as ok -> ok
-  | Stdlib.Error msg -> fail ~stage msg
-
 let () =
   Printexc.register_printer (function
     | Failure d -> Some ("Diag.Failure: " ^ to_string d)

@@ -49,8 +49,6 @@ val with_stage : string -> t -> t
     differs, the stage that first produced [d] is kept under the
     ["origin"] context key; re-staging again keeps that one origin. *)
 
-val severity_to_string : severity -> string
-
 val to_string : t -> string
 (** One-line rendering: [stage: severity: message (k=v, ...)]. *)
 
@@ -71,5 +69,3 @@ val ok_exn : ('a, t) result -> 'a
 (** [ok_exn (Ok x)] is [x]; [ok_exn (Error d)] raises [Failure d].  Thin
     exception shim for the CLI boundary and for tests. *)
 
-val of_msg : stage:string -> ('a, string) result -> ('a, t) result
-(** Lift a plain [string]-error result into a diagnostic one. *)

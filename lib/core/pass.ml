@@ -23,9 +23,6 @@ let make (type a b) ?digest ?counters ?refresh ~name
   let project = function M.Artifact x -> Some x | _ -> None in
   { name; run; digest; counters; refresh; inject; project }
 
-let name p = p.name
-let run p x = p.run x
-
 type ('a, 'b) pipeline =
   | Pass : ('a, 'b) t -> ('a, 'b) pipeline
   | Seq : ('a, 'b) pipeline * ('b, 'c) t -> ('a, 'c) pipeline

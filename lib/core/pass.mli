@@ -1,7 +1,7 @@
 (** Typed pass manager for the logic-to-GDSII flow.
 
     A pass is a named, fallible transformation from one stage artifact to the
-    next ([spec -> Netlist_ir.t -> placement -> cells -> GDS stream]).  The
+    next ([netlist -> placement -> cells -> GDS stream]).  The
     pipeline combinator threads artifacts through a sequence of passes while
     recording per-pass wall-clock time and artifact-size counters, emitting
     optional enter/exit trace events, and consulting an optional artifact
@@ -33,11 +33,6 @@ val make :
     embeds (downstream flow parameters threaded through the stages, say)
     must be refreshed from the live input before downstream passes see
     it. *)
-
-val name : ('a, 'b) t -> string
-
-val run : ('a, 'b) t -> 'a -> ('b, Diag.t) result
-(** Run a single pass directly, without instrumentation. *)
 
 (** {1 Pipelines} *)
 

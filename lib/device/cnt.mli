@@ -4,9 +4,6 @@
     gap and hence the threshold voltage of a MOSFET-like CNFET.  Constants
     follow the Stanford compact-model conventions. *)
 
-val graphene_lattice_nm : float
-(** a = 0.246 nm. *)
-
 val is_metallic : n:int -> m:int -> bool
 (** A tube is metallic when [(n - m) mod 3 = 0]. *)
 

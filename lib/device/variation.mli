@@ -55,9 +55,6 @@ type sampler = {
     ({!Stdcell.Characterize}) apply [slow_derate] instead of re-deriving
     device statistics per arc. *)
 
-val slow_derate_of : stats -> float
-(** [max 1 (mean /. p5)]; 1 when [p5] is non-positive or non-finite. *)
-
 val prepare_sampler : ?domains:int -> Cnfet.tech -> spec -> tubes:int
   -> width_nm:float -> sampler
 (** Run {!on_current_stats} once and package it as a sampler.  Same

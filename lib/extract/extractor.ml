@@ -38,10 +38,13 @@ type coupling = {
   cap_f : float;
 }
 
+(* Outlines farther apart than this many lambda do not couple. *)
+let max_gap = 4
+
 (* Lateral coupling between two abutting-but-disjoint outlines: fringe
    capacitance over the facing overlap length, divided by the separation
    (plus one lambda so exact abutment stays finite). *)
-let coupling_of tables (an, (ra : Geom.Rect.t)) (bn, (rb : Geom.Rect.t)) =
+let coupling_of (an, (ra : Geom.Rect.t)) (bn, (rb : Geom.Rect.t)) =
   if Geom.Rect.intersects ra rb then None
   else begin
     let gap_x =
@@ -62,7 +65,7 @@ let coupling_of tables (an, (ra : Geom.Rect.t)) (bn, (rb : Geom.Rect.t)) =
     if facing <= 0 then None
     else
       let cap_f =
-        Tables.fringe_cap tables Pdk.Layer.Metal1
+        Tables.fringe_cap Tables.default Pdk.Layer.Metal1
         *. float_of_int facing
         /. float_of_int (gap + 1)
         *. af
@@ -70,7 +73,7 @@ let coupling_of tables (an, (ra : Geom.Rect.t)) (bn, (rb : Geom.Rect.t)) =
       Some { a = an; b = bn; cap_f }
   end
 
-let couplings_naive ?(tables = Tables.default) ?(max_gap = 4) placements =
+let couplings_naive placements =
   let rec pairs acc = function
     | [] -> List.rev acc
     | ((_, ra) as a) :: rest ->
@@ -84,7 +87,7 @@ let couplings_naive ?(tables = Tables.default) ?(max_gap = 4) placements =
               && w.Geom.Rect.y0 <= rb.Geom.Rect.y1
               && rb.Geom.Rect.y0 <= w.Geom.Rect.y1
             then
-              match coupling_of tables a b with
+              match coupling_of a b with
               | Some c -> c :: acc
               | None -> acc
             else acc)
@@ -94,7 +97,7 @@ let couplings_naive ?(tables = Tables.default) ?(max_gap = 4) placements =
   in
   pairs [] placements
 
-let couplings ?(tables = Tables.default) ?(max_gap = 4) placements =
+let couplings placements =
   match placements with
   | [] | [ _ ] -> []
   | _ ->
@@ -107,10 +110,11 @@ let couplings ?(tables = Tables.default) ?(max_gap = 4) placements =
          (fun i ((_, r) as a) ->
            Geom.Index.query_rect index (Geom.Rect.inflate max_gap r)
            |> List.filter_map (fun (_, j) ->
-                  if j > i then coupling_of tables a arr.(j) else None))
+                  if j > i then coupling_of a arr.(j) else None))
          placements)
 
-let cell ?(tables = Tables.default) (c : Layout.Cell.t) =
+let cell (c : Layout.Cell.t) =
+  let tables = Tables.default in
   let out_cap_f =
     fabric_out_cap tables c.Layout.Cell.pun
     +. fabric_out_cap tables c.Layout.Cell.pdn

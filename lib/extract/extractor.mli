@@ -11,7 +11,8 @@ type parasitics = {
   rail_res_ohm : float;  (** contact + diffusion series resistance *)
 }
 
-val cell : ?tables:Tables.t -> Layout.Cell.t -> parasitics
+val cell : Layout.Cell.t -> parasitics
+(** The parasitics under {!Tables.default}. *)
 
 type coupling = {
   a : string;  (** first instance name, placement order *)
@@ -19,22 +20,14 @@ type coupling = {
   cap_f : float;  (** lateral coupling capacitance, farads *)
 }
 
-val couplings :
-  ?tables:Tables.t ->
-  ?max_gap:int ->
-  (string * Geom.Rect.t) list ->
-  coupling list
+val couplings : (string * Geom.Rect.t) list -> coupling list
 (** Placement-level lateral coupling estimate: for every pair of disjoint
-    cell outlines within [max_gap] lambda (default 4) of each other,
-    fringe capacitance over the facing overlap length divided by the
-    separation.  Near-linear via {!Geom.Index}; pairs in ascending
+    cell outlines within 4 lambda of each other, metal-1 fringe
+    capacitance ({!Tables.default}) over the facing overlap length divided
+    by the separation.  Near-linear via {!Geom.Index}; pairs in ascending
     placement order, identical to {!couplings_naive}. *)
 
-val couplings_naive :
-  ?tables:Tables.t ->
-  ?max_gap:int ->
-  (string * Geom.Rect.t) list ->
-  coupling list
+val couplings_naive : (string * Geom.Rect.t) list -> coupling list
 (** All-pairs reference for {!couplings}; equal output for equal input. *)
 
 val cap_of_rect : Tables.t -> Pdk.Layer.t -> Geom.Rect.t -> float

@@ -91,12 +91,19 @@ let const_zero b seed_net =
   add b "INV" [ ("A", n) ] out;
   out
 
-let multiplier ~bits =
+(* Each generator's parameter rule is a function of its own, so that
+   {!parse} can apply it without building the design. *)
+let multiplier_bits bits =
   if bits < 1 || bits > 64 then
     Core.Diag.failf ~stage
       ~context:[ ("bits", string_of_int bits) ]
       "multiplier bits must be in 1..64, got %d" bits
-  else begin
+  else Ok ()
+
+let multiplier ~bits =
+  match multiplier_bits bits with
+  | Error _ as e -> e
+  | Ok () ->
     let b = new_builder () in
     let a_in i = Printf.sprintf "A%d" i and b_in j = Printf.sprintf "B%d" j in
     (* partial-product bit heap: columns.(p) holds every net of weight 2^p *)
@@ -139,7 +146,6 @@ let multiplier ~bits =
         outputs = List.rev !outputs;
         instances = instances b;
       }
-  end
 
 let multiplier_check ~bits =
   if bits > 4 then
@@ -192,7 +198,7 @@ let taps_for bits =
   | 32 -> [ 31; 21; 1; 0 ]
   | _ -> [ bits - 1; 0 ]
 
-let lfsr ~bits ~steps =
+let lfsr_params ~bits ~steps =
   if bits < 2 || bits > 62 then
     Core.Diag.failf ~stage
       ~context:[ ("bits", string_of_int bits) ]
@@ -201,7 +207,12 @@ let lfsr ~bits ~steps =
     Core.Diag.failf ~stage
       ~context:[ ("steps", string_of_int steps) ]
       "lfsr steps must be >= 1, got %d" steps
-  else begin
+  else Ok ()
+
+let lfsr ~bits ~steps =
+  match lfsr_params ~bits ~steps with
+  | Error _ as e -> e
+  | Ok () ->
     let b = new_builder () in
     let state =
       Array.init bits (fun j -> Printf.sprintf "S%d" j)
@@ -230,7 +241,6 @@ let lfsr ~bits ~steps =
         outputs;
         instances = instances b;
       }
-  end
 
 let lfsr_reference ~bits ~steps seed =
   let taps = taps_for bits in
@@ -291,7 +301,7 @@ let rand_below state bound =
     (Int64.rem (Int64.shift_right_logical (splitmix64 state) 1)
        (Int64.of_int bound))
 
-let random_logic ~gates ~inputs ~seed =
+let random_params ~gates ~inputs =
   if gates < 1 then
     Core.Diag.failf ~stage
       ~context:[ ("gates", string_of_int gates) ]
@@ -300,7 +310,12 @@ let random_logic ~gates ~inputs ~seed =
     Core.Diag.failf ~stage
       ~context:[ ("inputs", string_of_int inputs) ]
       "random_logic inputs must be >= 3, got %d" inputs
-  else begin
+  else Ok ()
+
+let random_logic ~gates ~inputs ~seed =
+  match random_params ~gates ~inputs with
+  | Error _ as e -> e
+  | Ok () ->
     let b = new_builder () in
     let st = ref (Int64.of_int seed) in
     (* the pool only ever contains already-driven nets, so picking gate
@@ -361,10 +376,14 @@ let random_logic ~gates ~inputs ~seed =
         outputs;
         instances = instances b;
       }
-  end
+
+(* A parsed spec is the generator call it names, not yet made. *)
+type design = unit -> (Netlist_ir.t, Core.Diag.t) result
+
+let random_inputs = 12
 
 (* "mult16", "lfsr32x100", "rand1000s7", "ripple8", "full_adder" *)
-let of_spec spec =
+let parse spec =
   let num s =
     match int_of_string_opt s with
     | Some n -> Ok n
@@ -381,17 +400,19 @@ let of_spec spec =
               (String.length spec - String.length prefix))
     else None
   in
-  if spec = "full_adder" then Ok (Full_adder.netlist ())
+  if spec = "full_adder" then Ok (fun () -> Ok (Full_adder.netlist ()))
   else
     match strip "mult" with
     | Some rest ->
       let* bits = num rest in
-      multiplier ~bits
+      let* () = multiplier_bits bits in
+      Ok (fun () -> multiplier ~bits)
     | None -> (
       match strip "ripple" with
       | Some rest ->
         let* bits = num rest in
-        Ripple_adder.netlist ~bits
+        let* () = Ripple_adder.check_bits bits in
+        Ok (fun () -> Ripple_adder.netlist ~bits)
       | None -> (
         match strip "lfsr" with
         | Some rest -> (
@@ -405,7 +426,8 @@ let of_spec spec =
             let* steps =
               num (String.sub rest (i + 1) (String.length rest - i - 1))
             in
-            lfsr ~bits ~steps)
+            let* () = lfsr_params ~bits ~steps in
+            Ok (fun () -> lfsr ~bits ~steps))
         | None -> (
           match strip "rand" with
           | Some rest -> (
@@ -419,9 +441,14 @@ let of_spec spec =
               let* seed =
                 num (String.sub rest (i + 1) (String.length rest - i - 1))
               in
-              random_logic ~gates ~inputs:12 ~seed)
+              let* () = random_params ~gates ~inputs:random_inputs in
+              Ok (fun () -> random_logic ~gates ~inputs:random_inputs ~seed))
           | None ->
             Core.Diag.failf ~stage
               ~context:[ ("spec", spec) ]
               "unknown design spec %s (try mult<N>, lfsr<N>x<S>, rand<G>s<S>, \
                ripple<N>, full_adder)" spec)))
+
+let of_spec spec =
+  let* build = parse spec in
+  build ()

@@ -38,7 +38,14 @@ val random_logic :
     [Z0..].  Same (gates, inputs, seed) always yields the same design
     (local SplitMix64; no global [Random] state). *)
 
-val of_spec : string -> (Netlist_ir.t, Core.Diag.t) result
+type design
+(** A design a spec names, with numbers its generator accepts. *)
+
+val parse : string -> (design, Core.Diag.t) result
 (** Parse a compact design spec: ["mult16"], ["lfsr32x100"],
-    ["rand1000s7"] (12 inputs), ["ripple8"], ["full_adder"].  Errors name
-    the offending spec. *)
+    ["rand1000s7"] (12 inputs), ["ripple8"], ["full_adder"], and check its
+    numbers by the generator's own rules, building nothing.  Syntax errors
+    name the offending spec. *)
+
+val of_spec : string -> (Netlist_ir.t, Core.Diag.t) result
+(** Build the design {!parse} reads from a spec. *)

@@ -1,25 +1,12 @@
 type spec = {
-  source : [ `Text of string | `Netlist of Netlist_ir.t ];
+  netlist : Netlist_ir.t;
   lib : Stdcell.Library.t;
   scheme : [ `S1 | `S2 ];
-  top_name : string;
   aspect : float;
-  anneal : Anneal.config option;
 }
 
-let spec_of_netlist ?(scheme = `S2) ?top_name ?(aspect = 1.0) ?anneal ~lib n =
-  {
-    source = `Netlist n;
-    lib;
-    scheme;
-    top_name = Option.value top_name ~default:n.Netlist_ir.design;
-    aspect;
-    anneal;
-  }
-
-let spec_of_text ?(scheme = `S2) ?(top_name = "top") ?(aspect = 1.0) ?anneal
-    ~lib text =
-  { source = `Text text; lib; scheme; top_name; aspect; anneal }
+let spec_of_netlist ?(scheme = `S2) ?(aspect = 1.0) ~lib netlist =
+  { netlist; lib; scheme; aspect }
 
 type result_t = {
   netlist : Netlist_ir.t;
@@ -30,8 +17,8 @@ type result_t = {
 }
 
 (* Digest helpers: each pass is keyed by what actually feeds it, so an
-   edit to a late-stage parameter (scheme, aspect, anneal) leaves the
-   upstream digests — and hence their cached artifacts — untouched. *)
+   edit to a late-stage parameter (scheme, aspect) leaves the upstream
+   digests — and hence their cached artifacts — untouched. *)
 
 let lib_digest (lib : Stdcell.Library.t) =
   lib.Stdcell.Library.lib_name ^ "/"
@@ -40,87 +27,56 @@ let lib_digest (lib : Stdcell.Library.t) =
          (fun (e : Stdcell.Library.entry) -> e.Stdcell.Library.cell_name)
          lib.Stdcell.Library.entries)
 
-let source_digest = function
-  | `Text t -> Digest.to_hex (Digest.string t)
-  | `Netlist n -> Netlist_ir.digest n
-
 let scheme_string = function `S1 -> "S1" | `S2 -> "S2"
 
 (* Floats print in the JSON codec's shortest round-trip form, so aspects
-   that differ in any bit key different placements. *)
+   that differ in any bit key different placements.  The trailing
+   [noanneal] keeps the bytes every pass key and spec digest was pinned
+   with. *)
 let place_params s =
   let num f = Core.Json.to_string (Core.Json.Num f) in
-  Printf.sprintf "%s:%s:%s:%s" (lib_digest s.lib) (scheme_string s.scheme)
-    (num s.aspect)
-    (match s.anneal with
-    | None -> "noanneal"
-    | Some c ->
-      Printf.sprintf "anneal:%d:%s:%d" c.Anneal.iterations
-        (num c.Anneal.start_temp) c.Anneal.seed)
+  Printf.sprintf "%s:%s:%s:noanneal" (lib_digest s.lib)
+    (scheme_string s.scheme) (num s.aspect)
 
 (* Stage artifacts thread the spec along so downstream passes see their
    parameters without the passes themselves being parameterized (they must
    be top-level values for the artifact cache to work across runs).
 
-   The netlist digest keys four passes and hashes the whole serialized
+   The netlist digest keys every pass and hashes the whole serialized
    netlist, so it travels lazily with the stages: a run computes it at
-   most once, and never when no cache asks for a key.  A [`Netlist]
-   source digest is that same value, shared with the parse key. *)
+   most once, and never when no cache asks for a key. *)
 
-type input = { in_spec : spec; source_key : string Lazy.t }
+type staged = { spec : spec; netlist_digest : string Lazy.t }
 
-type staged = {
-  spec : spec;
-  netlist : Netlist_ir.t;
-  netlist_digest : string Lazy.t;
-}
-
-(* Built from the run's own netlist digest, which for a [`Netlist] source
-   is also its source digest: the job service's pinned [spec_digest]
-   bytes rest on that. *)
+(* The job service's pinned [spec_digest] bytes rest on this layout. *)
 let spec_digest st =
   lazy
     (Digest.to_hex
        (Digest.string
           (Lazy.force st.netlist_digest ^ ":" ^ place_params st.spec ^ ":"
-         ^ st.spec.top_name)))
+         ^ st.spec.netlist.Netlist_ir.design)))
 
 type placed = { s : staged; placement : Placer.t }
 type laid_out = { p : placed; cells : Layout.Cell.t list }
 
 (* Each pass's digest deliberately covers only part of its input, so the
    refresh hooks re-thread the *current* spec through cache-served
-   artifacts: a parse hit must not resurrect the spec (scheme, aspect,
-   anneal, top name) that was live when the artifact was stored. *)
-
-let parse_pass =
-  Core.Pass.make ~name:"parse"
-    ~digest:(fun i -> Lazy.force i.source_key)
-    ~refresh:(fun i st -> { st with spec = i.in_spec })
-    ~counters:(fun st ->
-      [ ("instances", List.length st.netlist.Netlist_ir.instances) ])
-    (fun { in_spec = spec; source_key } ->
-      match spec.source with
-      | `Netlist netlist -> Ok { spec; netlist; netlist_digest = source_key }
-      | `Text t -> (
-        match Netlist_ir.of_string t with
-        | Ok n ->
-          Ok { spec; netlist = n; netlist_digest = lazy (Netlist_ir.digest n) }
-        | Error d -> Error d))
+   artifacts: a cache hit must not resurrect the spec (scheme, aspect)
+   that was live when the artifact was stored. *)
 
 let validate_pass =
   Core.Pass.make ~name:"validate"
     ~digest:(fun st -> Lazy.force st.netlist_digest)
     ~refresh:(fun st _cached -> st)
     ~counters:(fun st ->
+      let n = st.spec.netlist in
       [
-        ("instances", List.length st.netlist.Netlist_ir.instances);
+        ("instances", List.length n.Netlist_ir.instances);
         ("nets",
-         List.length st.netlist.Netlist_ir.inputs
-         + List.length st.netlist.Netlist_ir.instances);
+         List.length n.Netlist_ir.inputs + List.length n.Netlist_ir.instances);
       ])
     (fun st ->
-      match Netlist_ir.validate st.netlist with
+      match Netlist_ir.validate st.spec.netlist with
       | Ok () -> Ok st
       | Error _ as e -> e)
 
@@ -135,7 +91,7 @@ let place_pass =
       [
         ("cells", List.length p.placement.Placer.cells);
         ("die_area", Placer.die_area p.placement);
-        ("hpwl", Placer.wirelength_estimate p.placement p.s.netlist);
+        ("hpwl", Placer.wirelength_estimate p.placement p.s.spec.netlist);
       ])
     (fun st ->
       let place =
@@ -143,17 +99,9 @@ let place_pass =
         | `S1 -> Placer.rows ~lib:st.spec.lib ~aspect:st.spec.aspect
         | `S2 -> Placer.shelves ~lib:st.spec.lib ~aspect:st.spec.aspect
       in
-      match place st.netlist with
+      match place st.spec.netlist with
       | Error _ as e -> e
-      | Ok placement ->
-        let placement =
-          match st.spec.anneal with
-          | None -> placement
-          | Some config ->
-            let refined, _, _ = Anneal.refine ~config placement st.netlist in
-            refined
-        in
-        Ok { s = st; placement })
+      | Ok placement -> Ok { s = st; placement })
 
 let layout_pass =
   Core.Pass.make ~name:"layout"
@@ -199,7 +147,7 @@ let export_pass =
       Digest.to_hex
         (Digest.string
            (Lazy.force l.p.s.netlist_digest ^ place_params l.p.s.spec ^ ":"
-          ^ l.p.s.spec.top_name)))
+          ^ l.p.s.spec.netlist.Netlist_ir.design)))
     ~counters:(fun (r : result_t) ->
       [
         (* the top structure plus one per referenced cell *)
@@ -209,14 +157,14 @@ let export_pass =
     (fun l ->
       let s = l.p.s.spec in
       match
-        Gds_export.placement ~lib:s.lib ~scheme:s.scheme ~name:s.top_name
-          l.p.placement
+        Gds_export.placement ~lib:s.lib ~scheme:s.scheme
+          ~name:s.netlist.Netlist_ir.design l.p.placement
       with
       | Error _ as e -> e
       | Ok gds_bytes ->
         Ok
           {
-            netlist = l.p.s.netlist;
+            netlist = s.netlist;
             placement = l.p.placement;
             cells = l.cells;
             gds_bytes;
@@ -225,8 +173,7 @@ let export_pass =
 
 let flow =
   Core.Pass.(
-    pass parse_pass >>> validate_pass >>> place_pass >>> layout_pass
-    >>> export_pass)
+    pass validate_pass >>> place_pass >>> layout_pass >>> export_pass)
 
 let pass_names = Core.Pass.names flow
 
@@ -256,13 +203,15 @@ let telemetry_trace = function
       n
 
 let run ?cache ?trace s =
-  let input = { in_spec = s; source_key = lazy (source_digest s.source) } in
+  let input =
+    { spec = s; netlist_digest = lazy (Netlist_ir.digest s.netlist) }
+  in
   if not (Telemetry.enabled ()) then Core.Pass.execute ?cache ?trace flow input
   else
     Telemetry.with_span "flow"
       ~attrs:
         [
-          ("top", Telemetry.String s.top_name);
+          ("top", Telemetry.String s.netlist.Netlist_ir.design);
           ("scheme", Telemetry.String (scheme_string s.scheme));
         ]
     @@ fun () ->

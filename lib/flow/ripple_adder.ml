@@ -8,12 +8,17 @@ let rename_instance ~prefix ~net_map (i : Netlist_ir.instance) =
 
 let stage = "ripple_adder"
 
-let netlist ~bits =
+let check_bits bits =
   if bits < 1 then
     Core.Diag.failf ~stage
       ~context:[ ("bits", string_of_int bits) ]
       "bits must be >= 1, got %d" bits
-  else
+  else Ok ()
+
+let netlist ~bits =
+  match check_bits bits with
+  | Error _ as e -> e
+  | Ok () ->
   let fa = Full_adder.netlist () in
   let instances =
     List.concat_map

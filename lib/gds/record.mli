@@ -10,7 +10,6 @@ type record_type =
   | Texttype | Presentation
 
 val type_code : record_type -> int
-val type_of_code : int -> record_type option
 
 type payload =
   | No_data

@@ -18,9 +18,3 @@ val strip : ?uniform:bool -> rules:Pdk.Rules.t
     tallest width; a non-uniform strip is smaller in drawn active but
     loses immunity margin against slanted CNTs at height steps (the
     ablation benchmark quantifies this). *)
-
-val strip_of_graph : ?uniform:bool -> rules:Pdk.Rules.t
-  -> polarity:Logic.Network.polarity -> widths:(string * int) list
-  -> Euler.Net_graph.t -> (Fabric.t, Core.Diag.t) result
-(** Same, from a pre-built contact/gate graph (lets tests exercise custom
-    graphs). *)

@@ -30,19 +30,6 @@ val oai21 : t
 val oai22 : t
 (** [((A1+A2) * (B1+B2))'] *)
 
-val aoi211 : t
-(** [(A1*A2 + B + C)'] *)
-
-val oai211 : t
-(** [((A1+A2) * B * C)'] *)
-
-val aoi222 : t
-(** [(A1*A2 + B1*B2 + C1*C2)'] *)
-
-val maj3_inv : t
-(** [(AB + BC + AC)'] — the inverted majority (carry) gate; note the same
-    input gates several devices. *)
-
 val xor2 : t
 (** [(A*B + AN*BN)'] — equals [A xor B] when the AN/BN pins are wired to
     the complements of A/B (single-stage CNFET cells are negative-unate,
@@ -54,8 +41,10 @@ val mux2 : t
 
 val all : t list
 (** The Table 1 catalog (INV, NAND2/3, NOR2/3, AOI21/22, OAI21/22, AOI31)
-    extended with NAND4/NOR4, AOI211/OAI211, AOI222, the inverted
-    majority gate, and the complemented-pin XOR2/MUX2. *)
+    extended with NAND4/NOR4, AOI211 [(A1*A2 + B + C)'], OAI211
+    [((A1+A2) * B * C)'], AOI222 [(A1*A2 + B1*B2 + C1*C2)'], the inverted
+    majority (carry) gate MAJ3I [(AB + BC + AC)'], in which the same input
+    gates several devices, and the complemented-pin XOR2/MUX2. *)
 
 val find_opt : string -> t option
 (** Look up by name (case-insensitive). *)

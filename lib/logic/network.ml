@@ -30,11 +30,6 @@ let rec conducts pol env = function
   | Series ns -> List.for_all (conducts pol env) ns
   | Parallel ns -> List.exists (conducts pol env) ns
 
-let rec expr_of = function
-  | Device s -> Expr.Var s
-  | Series ns -> Expr.And (List.map expr_of ns)
-  | Parallel ns -> Expr.Or (List.map expr_of ns)
-
 let rec depth = function
   | Device _ -> 1
   | Series ns -> List.fold_left (fun acc n -> acc + depth n) 0 ns

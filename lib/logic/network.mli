@@ -29,9 +29,6 @@ val device_count : t -> int
 val conducts : polarity -> (string -> bool) -> t -> bool
 (** Switch-level conduction under an input assignment. *)
 
-val expr_of : t -> Expr.t
-(** Positive expression whose truth is n-type conduction of the network. *)
-
 val depth : t -> int
 (** Longest series chain of devices on any conduction path — the transistor
     stack height, used for resistance-matched sizing. *)

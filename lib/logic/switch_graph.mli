@@ -32,8 +32,6 @@ val add_network : t -> polarity:Network.polarity -> src:node -> dst:node
 (** Expand a series/parallel network into edges between [src] and [dst],
     allocating internal nodes for series junctions. *)
 
-val fresh_internal : t -> node
-
 val conducting_between : t -> (string -> bool) -> node -> node -> bool
 (** Is there a conducting path between the two nodes under the assignment?
     A node is always connected to itself.  Like {!output_drive}, asks the

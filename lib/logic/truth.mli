@@ -38,4 +38,3 @@ val mismatches : reference:t -> t -> int list
     where it is [X]).  @raise Invalid_argument on different input lists. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_value : Format.formatter -> value -> unit

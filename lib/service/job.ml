@@ -203,6 +203,19 @@ let dse_config (j : dse_job) =
 
 let ( let* ) = Result.bind
 
+(* The service's budgets: each bounds how long one admitted job can
+   hold the scheduler.  Characterization time grows linearly with the
+   load. *)
+let max_trials = 1_000_000
+let max_dse_trials = 20_000
+let max_load = 64
+let max_loads = 16
+
+let over_budget ~kind ~member ~budget n =
+  Core.Diag.failf ~stage
+    ~context:[ (member, string_of_int n) ]
+    "%s job: %s above the %d service budget" kind member budget
+
 (* Only the service's own budgets are decided here.  Every other rule is
    asked of the module that owns it, on the config {!Runner} runs, and
    its diagnostic is re-staged (keeping the owner as its origin). *)
@@ -222,39 +235,51 @@ let validate job =
           "flow job: ripple bits must be in 1..64"
       | Netlist_text "" ->
         Core.Diag.fail ~stage "flow job: empty netlist text"
-      | Generated "" ->
-        Core.Diag.fail ~stage "flow job: empty design spec"
+      | Generated spec -> owner (Result.map ignore (Flow.Generate.parse spec))
       | _ -> Ok ())
+  | Fault j when j.trials > max_trials ->
+    over_budget ~kind:"fault" ~member:"trials" ~budget:max_trials j.trials
   | Fault j ->
     owner
       (let* _ = Layout.Cell.lookup ~name:j.cell ~drive:j.drive in
        Fault.Injector.validate (fault_config j))
-  | Characterize j ->
-    owner
-      (let* _ = Stdcell.Library.offers ~name:j.char_cell ~drive:j.char_drive in
-       Stdcell.Characterize.check_loads ~cell:j.char_cell j.loads)
+  | Characterize j when List.length j.loads > max_loads ->
+    over_budget ~kind:"characterize" ~member:"loads" ~budget:max_loads
+      (List.length j.loads)
+  | Characterize j -> (
+    match List.find_opt (fun l -> l > max_load) j.loads with
+    | Some l ->
+      over_budget ~kind:"characterize" ~member:"load" ~budget:max_load l
+    | None ->
+      owner
+        (let* _ =
+           Stdcell.Library.offers ~name:j.char_cell ~drive:j.char_drive
+         in
+         Stdcell.Characterize.check_loads ~cell:j.char_cell j.loads))
+  | Testgen j when j.tg_trials > max_trials ->
+    over_budget ~kind:"testgen" ~member:"trials" ~budget:max_trials j.tg_trials
   | Testgen j ->
     owner
       (let* _ = Layout.Cell.lookup ~name:j.tg_cell ~drive:j.tg_drive in
        Testgen.Campaign.validate (testgen_config j))
+  | Dse j when j.dse_max_trials > max_dse_trials ->
+    over_budget ~kind:"dse" ~member:"max_trials" ~budget:max_dse_trials
+      j.dse_max_trials
+  | Dse j when j.dse_load > max_load ->
+    over_budget ~kind:"dse" ~member:"load" ~budget:max_load j.dse_load
   | Dse j ->
-    if j.dse_max_trials > 20_000 then
-      Core.Diag.failf ~stage
-        ~context:[ ("max_trials", string_of_int j.dse_max_trials) ]
-        "dse job: max_trials above the 20000 service budget"
-    else
-      owner
-        (let* () = Dse.Engine.validate (dse_config j) in
-         (* the engine characterizes the cell at every drive of the axis *)
-         List.fold_left
-           (fun acc drive ->
-             let* () = acc in
-             Result.map ignore (Stdcell.Library.offers ~name:j.dse_cell ~drive))
-           (Ok ()) j.dse_drives)
+    owner
+      (let* () = Dse.Engine.validate (dse_config j) in
+       (* the engine characterizes the cell at every drive of the axis *)
+       List.fold_left
+         (fun acc drive ->
+           let* () = acc in
+           Result.map ignore (Stdcell.Library.offers ~name:j.dse_cell ~drive))
+         (Ok ()) j.dse_drives)
 
 (* The cache key: a stable fingerprint of every field that affects the
-   result.  Flow jobs reuse the pipeline's own source digests so the
-   service and a direct Flow.Pipeline run agree on input identity.
+   result.  A flow job's source enters as the netlist digest the
+   pipeline keys its passes on, or as the digest of its netlist text.
    Floats print as the JSON codec prints them, in the shortest form that
    round-trips, so jobs that differ in any bit of a float field never
    share a key (and a cached document). *)
@@ -265,10 +290,9 @@ let digest t =
     | Flow j ->
       let src =
         match j.source with
-        | Full_adder ->
-          Flow.Pipeline.source_digest (`Netlist (Flow.Full_adder.netlist ()))
+        | Full_adder -> Flow.Netlist_ir.digest (Flow.Full_adder.netlist ())
         | Ripple bits -> Printf.sprintf "ripple:%d" bits
-        | Netlist_text text -> Flow.Pipeline.source_digest (`Text text)
+        | Netlist_text text -> Digest.to_hex (Digest.string text)
         | Generated spec -> "generated:" ^ spec
       in
       Printf.sprintf "flow:%s:%s:%s" src (scheme_string j.scheme) (num j.aspect)

@@ -5,9 +5,7 @@
     Monte-Carlo campaign, or a {!Characterize} load sweep.  Jobs carry
     everything needed to reproduce the computation — the scheduler's
     result cache is keyed on {!digest}, a stable fingerprint of the
-    description (flow jobs reuse the {!Flow.Pipeline} source digests, so
-    a job and a direct pipeline run agree on what "the same input"
-    means). *)
+    description. *)
 
 type flow_source =
   | Full_adder  (** the paper's Figure-8 case study *)
@@ -144,11 +142,15 @@ val describe : t -> string
 
 val validate : t -> (unit, Core.Diag.t) result
 (** Admission-control check, without building a library or a cell.  It
-    decides only the service's own budgets: a dse [max_trials] of at most
-    20000, ripple bits in 1..64, a positive finite flow aspect, and a
-    non-empty netlist text and design spec.  Every other rule is asked of
-    its owner on the config {!Runner} runs: {!Layout.Cell.lookup} (the
-    cell and the drive of fault and testgen jobs),
+    decides only the service's own budgets, which bound how long one job
+    holds the scheduler: fault and testgen [trials] of at most 1000000, a
+    dse [max_trials] of at most 20000, at most 16 characterize [loads],
+    each load (and a dse [load]) at most 64, ripple bits in 1..64, a
+    positive finite flow aspect, and a non-empty netlist text.  Every other
+    rule is asked of its owner on the config {!Runner} runs:
+    {!Flow.Generate.parse} (a generated design spec),
+    {!Layout.Cell.lookup} (the cell and the drive of fault and testgen
+    jobs),
     {!Stdcell.Library.offers} (the cell at a characterize job's drive and
     at every drive of a dse axis), {!Stdcell.Characterize.check_loads},
     {!Fault.Injector.validate}, {!Testgen.Campaign.validate} and
@@ -160,9 +162,8 @@ val digest : t -> string
 (** Stable hex fingerprint of the full description; the result-cache
     key.  Float fields enter exactly (in {!Json.to_string}'s shortest
     round-trip form), so jobs differing in any field get different keys.
-    Flow jobs incorporate {!Flow.Pipeline.source_digest} of their
-    resolved source, so the key agrees with the pipeline's own notion of
-    input identity. *)
+    A flow job's netlist text enters as its MD5, and the full adder as
+    {!Flow.Netlist_ir.digest}. *)
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, Core.Diag.t) result

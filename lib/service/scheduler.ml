@@ -7,7 +7,6 @@ type config = {
   capacity : int;
   cache_dir : string option;
   clock : clock_mode;
-  default_cost_ms : float;
   journal : string option;
 }
 
@@ -17,9 +16,11 @@ let default_config =
     capacity = 64;
     cache_dir = None;
     clock = Wall;
-    default_cost_ms = 1.0;
     journal = None;
   }
+
+(* The virtual-clock advance of a job submitted without a cost. *)
+let default_cost_ms = 1.0
 
 type terminal =
   | Done of { cached : bool; wall_ms : float; result : Json.t }
@@ -324,7 +325,7 @@ let submit t ?(priority = Normal) ?deadline_ms ?cost_ms ?trace_id job =
               arrival_ms = now_ms t;
               deadline_ms;
               cost_ms =
-                Option.value cost_ms ~default:t.config.default_cost_ms;
+                Option.value cost_ms ~default:default_cost_ms;
               jstate = Queued;
             }
           in
@@ -666,7 +667,7 @@ let recover t =
                 jtrace = strace;
                 arrival_ms = now_ms t;
                 deadline_ms = sdeadline_ms;
-                cost_ms = Option.value scost_ms ~default:t.config.default_cost_ms;
+                cost_ms = Option.value scost_ms ~default:default_cost_ms;
                 jstate;
               }
             in

@@ -61,13 +61,10 @@
     atomically.  A hit completes the job as [Done { cached = true }]
     without running it — across scheduler instances and process
     restarts.  Flow jobs additionally share a {!Core.Pass.cache}, so two
-    different specs over one netlist still reuse parse/validate
-    artifacts. *)
+    different specs over one netlist still reuse its validate
+    artifact. *)
 
 type priority = High | Normal | Low
-
-val priority_string : priority -> string
-(** ["high"], ["normal"] or ["low"] — the protocol spelling. *)
 
 val priority_of_string : string -> priority option
 
@@ -79,8 +76,6 @@ type config = {
   cache_dir : string option;
       (** persisted result cache directory; created on demand *)
   clock : clock_mode;
-  default_cost_ms : float;
-      (** virtual-clock advance for a job without an explicit cost *)
   journal : string option;
       (** write-ahead journal path (see {!Journal}); every accepted
           submission and every settlement is fsync'd to it, and
@@ -88,8 +83,7 @@ type config = {
 }
 
 val default_config : config
-(** 1 domain, capacity 64, no persistence, wall clock, 1 ms cost, no
-    journal. *)
+(** 1 domain, capacity 64, no persistence, wall clock, no journal. *)
 
 type terminal =
   | Done of { cached : bool; wall_ms : float; result : Json.t }
@@ -149,7 +143,8 @@ val submit :
   ?trace_id:string -> Job.t -> (int, Core.Diag.t) result
 (** Enqueue a job; returns its id.  Rejections ({!Job.validate} failures,
     non-positive deadline/cost, full queue, shut-down scheduler) are
-    structured diagnostics and are counted in {!stats}.
+    structured diagnostics and are counted in {!stats}.  [?cost_ms] is
+    the virtual-clock advance of the job; without it, 1 ms.
 
     [?trace_id] names the submission in every observability surface — the
     job's spans, the structured event log, the completion record and the
@@ -303,5 +298,5 @@ val replay : ?config:config -> seed:int -> request list -> replay_result
     submit them against a fresh scheduler forced onto the virtual clock
     (1 ms between arrivals), drain, shut down.  Every field of the result
     — order, outcomes, queue waits, timestamps — depends only on [seed],
-    the requests and [config.capacity]/[default_cost_ms]; in particular
+    the requests and [config.capacity]; in particular
     it is bit-for-bit identical at any [config.domains]. *)

@@ -25,7 +25,7 @@
     gets its in-flight job {e requeued} — the journal still holds the
     unsettled submission, so the job also survives a parent crash — and
     the slot is respawned, counted in [restarts].  A job whose worker
-    dies {!max_attempts} times is completed as [Failed] instead of
+    dies three times is completed as [Failed] instead of
     requeued (poison-job guard), and a pool whose respawns keep dying
     stops respawning after a global budget and fails what remains —
     never a hang.
@@ -34,10 +34,6 @@
     the type is not thread-safe. *)
 
 type t
-
-val max_attempts : int
-(** Dispatch attempts per job before a worker-death completes it as
-    [Failed] (currently 3). *)
 
 val create : argv:string array -> n:int -> t
 (** Spawn [n] children running [argv] (typically

@@ -22,21 +22,18 @@ type t = {
   lib_name : string;
   rules : Pdk.Rules.t;
   pitch_nm : float;
-      (** CNT pitch the {!factory} populates devices at; {!optimal_pitch_nm}
-          unless the builder was given a processing knob *)
+      (** CNT pitch the {!factory} populates devices at; 5 nm, the
+          screening-optimal density the paper's comparisons assume, unless
+          the builder was given a processing knob *)
   entries : entry list;
 }
 
 val base_width_lambda : int
 (** Unit transistor width of INV1X (the rules' minimum width). *)
 
-val optimal_pitch_nm : float
-(** The default inter-CNT pitch (nm) — the screening-optimal density the
-    paper's comparisons assume. *)
-
 val tubes_for : ?pitch_nm:float -> Device.Cnfet.tech -> rules:Pdk.Rules.t
   -> width_lambda:int -> int
-(** Tube count at the given CNT pitch (default {!optimal_pitch_nm}) for a
+(** Tube count at the given CNT pitch (default 5 nm) for a
     gate of the given drawn width (at least one tube).  [pitch_nm] is the
     processing density knob: sparser growth means fewer tubes under the
     same drawn gate. *)
@@ -58,7 +55,7 @@ val cnfet : ?tech:Device.Cnfet.tech -> ?rules:Pdk.Rules.t -> ?pitch_nm:float
   -> drives:int list -> unit -> (t, Core.Diag.t) result
 (** CNFET library: the cells {!offers} sizes at every one of [drives],
     the rest of the catalog at drive 1.
-    [pitch_nm] (default {!optimal_pitch_nm}) sets the grown CNT pitch the
+    [pitch_nm] (default 5 nm) sets the grown CNT pitch the
     factory populates devices at — the DSE engine's density knob.
     Invalid drives, a non-positive pitch (and any cell-construction
     failure) arrive as [Diag] errors. *)

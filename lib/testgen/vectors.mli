@@ -5,7 +5,7 @@
     output detects a fault class exactly when [r] is one of the class's
     mismatch rows — so vector selection is set cover over class masks.
     {!greedy} is the standard highest-coverage-first heuristic (within
-    the [H(n)] bound of optimal); {!exhaustive_min} computes the true
+    the [H(n)] bound of optimal); {!generate} also computes the true
     optimum for cells of up to 4 inputs (65536 candidate subsets at
     most), which is what lets the property tests validate the greedy
     bound rather than assume it. *)
@@ -24,13 +24,9 @@ val greedy : Dictionary.t -> int list
 (** Greedy set cover; covers every class (each class has at least one
     mismatch row).  Empty for an empty dictionary. *)
 
-val exhaustive_min : Dictionary.t -> int list option
-(** A minimum-cardinality cover — subsets enumerated by size then value,
-    so the answer is deterministic.  [None] for cells of more than 4
-    inputs, where 2^(2^n) enumeration stops being a validation tool. *)
-
 val detects_all : Dictionary.t -> int list -> bool
 (** Does the vector set detect every class of the dictionary? *)
 
 val generate : Dictionary.t -> t
-(** {!greedy}, coverage audit, and (when tractable) {!exhaustive_min}. *)
+(** {!greedy}, coverage audit, and (for cells of up to 4 inputs) the
+    size of a minimum-cardinality cover. *)

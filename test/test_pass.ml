@@ -237,7 +237,7 @@ let flow_cache_skips_upstream () =
   let _, rep2 = Flow.Pipeline.run ~cache spec in
   checkb "identical rerun fully cached" true
     (List.for_all (fun p -> p.Core.Pass.cached) rep2.Core.Pass.passes);
-  (* changed placement parameter: parse/validate cached, the rest re-run *)
+  (* changed placement parameter: validate cached, the rest re-run *)
   let spec' = { spec with Flow.Pipeline.scheme = `S1 } in
   let r3, rep3 = Flow.Pipeline.run ~cache spec' in
   checkb "edited run ok" true (Result.is_ok r3);
@@ -247,45 +247,28 @@ let flow_cache_skips_upstream () =
        rep3.Core.Pass.passes)
       .Core.Pass.cached
   in
-  checkb "parse cached" true (cached_of "parse");
   checkb "validate cached" true (cached_of "validate");
   checkb "place re-run" false (cached_of "place");
   checkb "layout re-run" false (cached_of "layout");
   checkb "export re-run" false (cached_of "export")
 
 (* The flow's pass-cache keys, pinned as the pipeline computed them
-   before the netlist digest travelled lazily with the stages: the same
-   full adder from an in-memory netlist and from its text. *)
+   before the netlist digest travelled lazily with the stages. *)
 let flow_cache_keys_pinned () =
-  let keys source =
-    let cache = Core.Pass.cache_create () in
-    ignore (Flow.Pipeline.run ~cache source);
-    List.sort compare (Core.Pass.cache_entries cache)
-  in
-  let fa = Flow.Full_adder.netlist () in
-  let netlist = "a4a251d8b60b1414e6ab9886db1d4e3b" in
+  let cache = Core.Pass.cache_create () in
+  ignore
+    (Flow.Pipeline.run ~cache
+       (Flow.Pipeline.spec_of_netlist ~scheme:`S1 ~lib
+          (Flow.Full_adder.netlist ())));
   Alcotest.(check (list (pair string string)))
     "netlist source keys"
     [
       ("export", "f1b6abb792fe6f32ded2ac30f4a07d8d");
       ("layout", "689d5f866f9f004bda7d91fcb3945eac");
-      ("parse", netlist);
       ("place", "689d5f866f9f004bda7d91fcb3945eac");
-      ("validate", netlist);
+      ("validate", "a4a251d8b60b1414e6ab9886db1d4e3b");
     ]
-    (keys (Flow.Pipeline.spec_of_netlist ~scheme:`S1 ~lib fa));
-  Alcotest.(check (list (pair string string)))
-    "text source keys"
-    [
-      ("export", "488ffa91903ce9208c63adb963414886");
-      ("layout", "b76a17e9ce4341ce169a03c08549a55e");
-      ("parse", netlist);
-      ("place", "b76a17e9ce4341ce169a03c08549a55e");
-      ("validate", netlist);
-    ]
-    (keys
-       (Flow.Pipeline.spec_of_text ~scheme:`S2 ~aspect:2. ~lib
-          (Flow.Netlist_ir.to_string fa)))
+    (List.sort compare (Core.Pass.cache_entries cache))
 
 let flow_reports_diagnostics () =
   (* an unknown cell fails validation with a stage-tagged diagnostic, and
@@ -309,7 +292,7 @@ let flow_reports_diagnostics () =
     checkb "names the cell" true
       (contains "FROB" (Core.Diag.to_string d)));
   Alcotest.(check (list string))
-    "stopped after validate" [ "parse"; "validate" ]
+    "stopped after validate" [ "validate" ]
     (List.map (fun p -> p.Core.Pass.pass_name) report.Core.Pass.passes)
 
 let suite =

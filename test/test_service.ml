@@ -438,6 +438,68 @@ let job_validate_matches_library () =
         Logic.Cell_fun.all)
     [ 1; 2; 3; 4 ]
 
+(* The service budgets bound how long one job can hold the scheduler: a
+   job over one is refused, naming the member, and a job at every budget
+   is admitted. *)
+let job_validate_budgets () =
+  List.iter
+    (fun (what, job, member, value) ->
+      match Job.validate job with
+      | Ok () -> Alcotest.failf "%s accepted" what
+      | Error d ->
+        check_str (what ^ ": stage") "service.job" d.Core.Diag.stage;
+        check_str (what ^ ": " ^ member) value
+          (Option.value ~default:""
+             (List.assoc_opt member d.Core.Diag.context)))
+    [
+      ("load 100000", Job.characterize ~loads:[ 1; 100_000 ] "NAND2", "load",
+       "100000");
+      ("17 loads", Job.characterize ~loads:(List.init 17 succ) "NAND2",
+       "loads", "17");
+      ("fault trials", Job.fault ~trials:1_000_001 "NAND2", "trials",
+       "1000001");
+      ("testgen trials", Job.testgen ~trials:1_000_001 "NAND2", "trials",
+       "1000001");
+      ("dse load", Job.dse ~load:65 "NAND2", "load", "65");
+    ];
+  List.iter
+    (fun (what, job) ->
+      match Job.validate job with
+      | Ok () -> ()
+      | Error d -> Alcotest.failf "%s refused: %s" what (Core.Diag.to_string d))
+    [
+      ("16 loads of 64",
+       Job.characterize ~loads:(List.init 16 (fun _ -> 64)) "NAND2");
+      ("fault trials at budget", Job.fault ~trials:1_000_000 "NAND2");
+      ("testgen trials at budget", Job.testgen ~trials:1_000_000 "NAND2");
+      ("dse load 64", Job.dse ~load:64 "NAND2");
+    ]
+
+(* Admission reads the generator's own spec parser, which builds nothing:
+   a generated-design job passes exactly when its spec builds, and a
+   refused spec names the generator as its origin. *)
+let job_validate_parses_specs () =
+  List.iter
+    (fun spec ->
+      let admitted = Job.validate (Job.flow (Job.Generated spec)) in
+      checkb
+        (Printf.sprintf "%S admitted iff it builds" spec)
+        (Result.is_ok (Flow.Generate.of_spec spec))
+        (Result.is_ok admitted);
+      match admitted with
+      | Ok () -> ()
+      | Error d ->
+        check_str (spec ^ ": stage") "service.job" d.Core.Diag.stage;
+        checkb (spec ^ ": origin") true
+          (List.mem
+             (List.assoc_opt "origin" d.Core.Diag.context)
+             [ Some "generate"; Some "ripple_adder" ]))
+    [
+      "full_adder"; "mult4"; "mult0"; "mult65"; "multx"; "lfsr8x5"; "lfsr1x5";
+      "lfsr8x0"; "lfsr16"; "rand50s3"; "rand0s3"; "rand9"; "ripple2";
+      "ripple0"; "nosuch9"; "";
+    ]
+
 (* A served flow job's spec digest comes from the run's own netlist
    digest; its bytes were captured when the runner hashed the netlist
    again after the run. *)
@@ -458,7 +520,10 @@ let flow_spec_digest_pinned () =
     (spec_digest (Job.flow ~scheme:`S1 ~aspect:2. (Job.Netlist_text tiny)));
   (* without a pass cache nothing asks for a key, so nothing is hashed *)
   let lib = Core.Diag.ok_exn (Stdcell.Library.cnfet ~drives:[ 1 ] ()) in
-  match fst (Flow.Pipeline.run (Flow.Pipeline.spec_of_text ~lib tiny)) with
+  let netlist = Result.get_ok (Flow.Netlist_ir.of_string tiny) in
+  match
+    fst (Flow.Pipeline.run (Flow.Pipeline.spec_of_netlist ~lib netlist))
+  with
   | Ok r ->
     checkb "cache-less run leaves the digest unforced" false
       (Lazy.is_val r.Flow.Pipeline.spec_digest)
@@ -1639,6 +1704,10 @@ let suite =
       job_validate_asks_library;
     Alcotest.test_case "job validate matches the library" `Quick
       job_validate_matches_library;
+    Alcotest.test_case "job validate enforces the budgets" `Quick
+      job_validate_budgets;
+    Alcotest.test_case "job validate parses design specs" `Quick
+      job_validate_parses_specs;
     Alcotest.test_case "flow spec digest pinned" `Quick
       flow_spec_digest_pinned;
     Alcotest.test_case "digest floats exact" `Quick digest_floats_exact;
