@@ -3,7 +3,7 @@
 # including the 2-domain smoke campaign (test/smoke.ml) that exercises the
 # parallel Monte-Carlo engine end to end.
 
-.PHONY: all build test smoke bench perf-check verify fmt-check clean
+.PHONY: all build test smoke bench bench-smoke perf-check verify fmt-check clean
 
 all: build
 
@@ -18,6 +18,27 @@ smoke:
 
 bench:
 	dune exec bench/main.exe -- dse
+
+# Benchmark smoke: a short seeded run of every perfbench workload.  A
+# run exits 2 when the build fails, when `serve` rejects a flag
+# perfbench passes or exits early, or when the workload's request
+# stream runs dry; its last line must also report every operation
+# correct and none failed.
+bench-smoke:
+	@set -e; \
+	for w in served_batch served_workers dse_campaign flow_10k; do \
+	  echo "== bench smoke: $$w =="; \
+	  if ! out=$$(python3 perfbench/run.py --workload $$w --seed 1 \
+	      --seconds 3); then \
+	    printf "%s\n" "$$out"; echo "bench-smoke: $$w exited non-zero"; exit 1; \
+	  fi; \
+	  last=$$(printf "%s\n" "$$out" | tail -n 1); \
+	  echo "$$last"; \
+	  case "$$last" in \
+	    *'"correct": true'*'"failed": 0,'*) ;; \
+	    *) echo "bench-smoke: $$w did not report a correct run"; exit 1 ;; \
+	  esac; \
+	done
 
 # Perf ratchet: rerun the bench behind every *committed* BENCH_*.json
 # and compare fresh against baseline (median-normalized, >15% regression

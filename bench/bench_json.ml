@@ -1,6 +1,7 @@
 (* Machine-readable benchmark records.  Every bench writes its results
    through this one emitter to BENCH_<bench>.json in the working directory
-   — one flat array of {name, wall_ms, throughput, extras} objects — so
+   — one flat array of {name, wall_ms, throughput, extras} objects, plus
+   ["ratio": true] on a row whose throughput is a ratio — so
    the perf trajectory can be diffed across PRs (and archived as CI
    artifacts) without scraping the human-readable tables, and tooling can
    rely on a single schema across benches. *)
@@ -9,24 +10,28 @@ type entry = {
   name : string;
   wall_ms : float;
   throughput : float;
+  ratio : bool;
+      (* the throughput is a ratio of two timings from one run, so it does
+         not move with machine speed: the ratchet compares it with its own
+         baseline, not with the median of the timing rows *)
   extras : (string * float) list;
       (* bench-specific numeric facts (cell counts, cache hits, ...) *)
 }
 
-let entry ?extras ~name ~wall_ms ~throughput () =
-  { name; wall_ms; throughput; extras = Option.value extras ~default:[] }
+let entry ?extras ?(ratio = false) ~name ~wall_ms ~throughput () =
+  { name; wall_ms; throughput; ratio; extras = Option.value extras ~default:[] }
 
 (* Values are rounded to three decimals and printed by the JSON codec,
    one entry per line so ledgers diff by row. *)
 let entry_json e =
   let num f = Core.Json.Num (Float.round (f *. 1000.) /. 1000.) in
   Core.Json.Obj
-    [
-      ("name", Core.Json.Str e.name);
-      ("wall_ms", num e.wall_ms);
-      ("throughput", num e.throughput);
-      ("extras", Core.Json.Obj (List.map (fun (k, v) -> (k, num v)) e.extras));
-    ]
+    ([ ("name", Core.Json.Str e.name);
+       ("wall_ms", num e.wall_ms);
+       ("throughput", num e.throughput) ]
+    @ (if e.ratio then [ ("ratio", Core.Json.Bool true) ] else [])
+    @ [ ("extras",
+         Core.Json.Obj (List.map (fun (k, v) -> (k, num v)) e.extras)) ])
 
 let write ~bench entries =
   let file = Printf.sprintf "BENCH_%s.json" bench in

@@ -15,8 +15,11 @@
    more than the threshold below the {e median} ratio.  The median
    absorbs a uniformly slower (or faster) machine — CI runners are not
    the laptop the baseline was recorded on — while a single entry that
-   regressed relative to its peers still stands out.  [--absolute]
-   compares each ratio against 1.0 instead, for same-machine A/B runs.
+   regressed relative to its peers still stands out.  An entry marked
+   ["ratio": true] (on either side) holds a ratio of two timings from
+   one run, which does not move with machine speed: it stays out of the
+   median and is compared against 1.0, its own baseline.  [--absolute]
+   compares every ratio against 1.0, for same-machine A/B runs.
 
    Exit codes: 0 ok, 1 regression, 2 usage or parse error. *)
 
@@ -38,7 +41,7 @@ let read_file path =
     close_in ic;
     s
 
-(* name -> throughput, in document order *)
+(* (name, (throughput, marked a ratio)), in document order *)
 let entries_of path =
   match Core.Json.of_string (read_file path) with
   | Error msg ->
@@ -47,13 +50,16 @@ let entries_of path =
   | Ok (Core.Json.Arr items) ->
     List.filter_map
       (fun item ->
+        let ratio =
+          Core.Json.member "ratio" item = Some (Core.Json.Bool true)
+        in
         match
           ( Option.bind (Core.Json.member "name" item) Core.Json.to_str,
             Option.bind
               (Core.Json.member "throughput" item)
               Core.Json.to_float )
         with
-        | Some name, Some thr when thr > 0. -> Some (name, thr)
+        | Some name, Some thr when thr > 0. -> Some (name, (thr, ratio))
         | _ -> None)
       items
   | Ok _ ->
@@ -104,9 +110,10 @@ let () =
   let fresh = entries_of fresh_path in
   let shared =
     List.filter_map
-      (fun (name, fresh_thr) ->
+      (fun (name, (fresh_thr, fresh_ratio)) ->
         Option.map
-          (fun base_thr -> (name, base_thr, fresh_thr))
+          (fun (base_thr, base_ratio) ->
+            (name, base_thr, fresh_thr, base_ratio || fresh_ratio))
           (List.assoc_opt name baseline))
       fresh
   in
@@ -131,7 +138,11 @@ let () =
     (List.filter_map
        (fun (n, _) -> if List.mem_assoc n baseline then None else Some n)
        fresh);
-  let ratios = List.map (fun (_, b, f) -> f /. b) shared in
+  let ratios =
+    List.filter_map
+      (fun (_, b, f, ratio) -> if ratio then None else Some (f /. b))
+      shared
+  in
   let reference = if !absolute then 1.0 else median ratios in
   let floor = (1. -. !threshold) *. reference in
   Printf.printf
@@ -143,11 +154,12 @@ let () =
     (100. *. !threshold);
   let failures =
     List.filter
-      (fun (name, base_thr, fresh_thr) ->
+      (fun (name, base_thr, fresh_thr, ratio) ->
         let r = fresh_thr /. base_thr in
-        let bad = r < floor in
-        Printf.printf "  %-40s base %12.1f  fresh %12.1f  ratio %.3f%s\n" name
-          base_thr fresh_thr r
+        let bad = r < if ratio then 1. -. !threshold else floor in
+        Printf.printf "  %-40s base %12.1f  fresh %12.1f  ratio %.3f%s%s\n"
+          name base_thr fresh_thr r
+          (if ratio then "  (own baseline)" else "")
           (if bad then "  REGRESSION" else "");
         bad)
       shared

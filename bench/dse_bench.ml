@@ -6,6 +6,14 @@
    evaluates at most half the fine-grid points and returns the exact
    same front.  Deterministic content, wall-clock timing. *)
 
+(* Each campaign keeps the best of [runs] timings (its outcome is the
+   same every run), and the two campaigns alternate, so both bests come
+   from the same stretch of the host's load: single-shot timings moved
+   the rows, and their ratio, across the ratchet's 15% floor on a shared
+   host.  N = 3 was chosen by measurement: on a 2-core host its gate
+   passed as often as N = 5 and its speedup row spread the least. *)
+let runs = 3
+
 let run () =
   let domains = Domain.recommended_domain_count () in
   let config =
@@ -20,6 +28,16 @@ let run () =
     in
     (o, (Unix.gettimeofday () -. t0) *. 1000.)
   in
+  let faster (o, ms) (_, ms') = (o, Float.min ms ms') in
+  let rec best_of n =
+    let a = campaign ~adaptive:true in
+    let e = campaign ~adaptive:false in
+    if n = 1 then (a, e)
+    else
+      let a', e' = best_of (n - 1) in
+      (faster a a', faster e e')
+  in
+  let (adaptive, adaptive_ms), (exhaustive, exhaustive_ms) = best_of runs in
   Printf.printf
     "# dse campaign: immune NAND2, %d-point fine grid, %d domains\n"
     (Dse.Knobs.card config.Dse.Engine.space) domains;
@@ -32,8 +50,6 @@ let run () =
       (List.length o.Dse.Engine.front)
       o.Dse.Engine.rounds wall_ms
   in
-  let adaptive, adaptive_ms = campaign ~adaptive:true in
-  let exhaustive, exhaustive_ms = campaign ~adaptive:false in
   report "adaptive" adaptive adaptive_ms;
   report "exhaustive" exhaustive exhaustive_ms;
   (* the whole point of the refinement machinery: same answer, less work *)
@@ -65,7 +81,8 @@ let run () =
       ()
   in
   let speedup =
-    Bench_json.entry ~name:"dse_adaptive_speedup" ~wall_ms:adaptive_ms
+    Bench_json.entry ~name:"dse_adaptive_speedup" ~ratio:true
+      ~wall_ms:adaptive_ms
       ~throughput:(exhaustive_ms /. adaptive_ms)
       ~extras:
         [

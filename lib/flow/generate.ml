@@ -198,15 +198,21 @@ let taps_for bits =
   | 32 -> [ 31; 21; 1; 0 ]
   | _ -> [ bits - 1; 0 ]
 
+(* The upper bounds keep every generated design near the largest
+   multiplier's size (mult64, 40,512 instances): a step is at most ~7.5
+   instances, a random gate ~1.4. *)
+let max_lfsr_steps = 5_000
+let max_random_gates = 30_000
+
 let lfsr_params ~bits ~steps =
   if bits < 2 || bits > 62 then
     Core.Diag.failf ~stage
       ~context:[ ("bits", string_of_int bits) ]
       "lfsr bits must be in 2..62, got %d" bits
-  else if steps < 1 then
+  else if steps < 1 || steps > max_lfsr_steps then
     Core.Diag.failf ~stage
       ~context:[ ("steps", string_of_int steps) ]
-      "lfsr steps must be >= 1, got %d" steps
+      "lfsr steps must be in 1..%d, got %d" max_lfsr_steps steps
   else Ok ()
 
 let lfsr ~bits ~steps =
@@ -302,10 +308,10 @@ let rand_below state bound =
        (Int64.of_int bound))
 
 let random_params ~gates ~inputs =
-  if gates < 1 then
+  if gates < 1 || gates > max_random_gates then
     Core.Diag.failf ~stage
       ~context:[ ("gates", string_of_int gates) ]
-      "random_logic gates must be >= 1, got %d" gates
+      "random_logic gates must be in 1..%d, got %d" max_random_gates gates
   else if inputs < 3 then
     Core.Diag.failf ~stage
       ~context:[ ("inputs", string_of_int inputs) ]

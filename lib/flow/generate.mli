@@ -22,7 +22,8 @@ val multiplier_check : bits:int -> (unit, Core.Diag.t) result
 val lfsr : bits:int -> steps:int -> (Netlist_ir.t, Core.Diag.t) result
 (** Combinationally unrolled Fibonacci LFSR: [steps] shift steps from
     state inputs [S0..] to state outputs [Q0..].  Maximal-length taps for
-    8/16/24/32 bits, a two-tap fallback otherwise.  [bits] in 2..62. *)
+    8/16/24/32 bits, a two-tap fallback otherwise.  [bits] in 2..62,
+    [steps] in 1..5000. *)
 
 val lfsr_check :
   bits:int -> steps:int -> seed:int -> (unit, Core.Diag.t) result
@@ -33,10 +34,10 @@ val random_logic :
   gates:int -> inputs:int -> seed:int -> (Netlist_ir.t, Core.Diag.t) result
 (** Seeded random combinational cloud: [gates] instances drawn from
     NAND2/NOR2/AOI21/OAI21/XOR2/MUX2/MAJ3I/INV with operands taken from
-    already-driven nets (always a DAG).  Inputs [I0..I<inputs-1>]
-    ([inputs >= 3]); the last up-to-8 gate outputs are buffered to
-    [Z0..].  Same (gates, inputs, seed) always yields the same design
-    (local SplitMix64; no global [Random] state). *)
+    already-driven nets (always a DAG).  [gates] in 1..30000; inputs
+    [I0..I<inputs-1>] ([inputs >= 3]); the last up-to-8 gate outputs are
+    buffered to [Z0..].  Same (gates, inputs, seed) always yields the
+    same design (local SplitMix64; no global [Random] state). *)
 
 type design
 (** A design a spec names, with numbers its generator accepts. *)

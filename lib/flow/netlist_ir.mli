@@ -50,5 +50,5 @@ val of_string : string -> (t, Core.Diag.t) result
     per instance; ['#'] starts a comment. *)
 
 val digest : t -> string
-(** Stable fingerprint of the netlist content (for the pass-manager
-    artifact cache). *)
+(** Stable fingerprint of the netlist content; the full adder's keys
+    its flow jobs, and every flow run's [spec_digest] starts from it. *)

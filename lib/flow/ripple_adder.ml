@@ -8,11 +8,14 @@ let rename_instance ~prefix ~net_map (i : Netlist_ir.instance) =
 
 let stage = "ripple_adder"
 
+(* 64 bits is 832 instances, the service's bound on a ripple job. *)
+let max_bits = 64
+
 let check_bits bits =
-  if bits < 1 then
+  if bits < 1 || bits > max_bits then
     Core.Diag.failf ~stage
       ~context:[ ("bits", string_of_int bits) ]
-      "bits must be >= 1, got %d" bits
+      "ripple bits must be in 1..%d, got %d" max_bits bits
   else Ok ()
 
 let netlist ~bits =

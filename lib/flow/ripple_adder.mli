@@ -4,7 +4,7 @@
 
 val netlist : bits:int -> (Netlist_ir.t, Core.Diag.t) result
 (** Inputs [A0..A(n-1)], [B0..], [CIN]; outputs [S0..], [COUT].
-    [bits < 1] is a [Diag] error. *)
+    [bits] must be in 1..64 (832 instances), else a [Diag] error. *)
 
 val check_bits : int -> (unit, Core.Diag.t) result
 (** The [bits] rule {!netlist} applies, building nothing. *)

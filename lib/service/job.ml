@@ -208,6 +208,7 @@ let ( let* ) = Result.bind
    load. *)
 let max_trials = 1_000_000
 let max_dse_trials = 20_000
+let max_dse_grid = 256
 let max_load = 64
 let max_loads = 16
 
@@ -229,10 +230,7 @@ let validate job =
         "flow job: aspect must be positive and finite"
     else (
       match j.source with
-      | Ripple bits when bits < 1 || bits > 64 ->
-        Core.Diag.failf ~stage
-          ~context:[ ("bits", string_of_int bits) ]
-          "flow job: ripple bits must be in 1..64"
+      | Ripple bits -> owner (Flow.Ripple_adder.check_bits bits)
       | Netlist_text "" ->
         Core.Diag.fail ~stage "flow job: empty netlist text"
       | Generated spec -> owner (Result.map ignore (Flow.Generate.parse spec))
@@ -267,19 +265,37 @@ let validate job =
       j.dse_max_trials
   | Dse j when j.dse_load > max_load ->
     over_budget ~kind:"dse" ~member:"load" ~budget:max_load j.dse_load
-  | Dse j ->
-    owner
-      (let* () = Dse.Engine.validate (dse_config j) in
-       (* the engine characterizes the cell at every drive of the axis *)
-       List.fold_left
-         (fun acc drive ->
-           let* () = acc in
-           Result.map ignore (Stdcell.Library.offers ~name:j.dse_cell ~drive))
-         (Ok ()) j.dse_drives)
+  | Dse j -> (
+    let config = dse_config j in
+    let axes = Dse.Knobs.axes (Dse.Knobs.canonical config.Dse.Engine.space) in
+    (* in floats, so that no axis lengths overflow the product *)
+    let grid = Array.fold_left (fun g n -> g *. float_of_int n) 1. axes in
+    if grid > float_of_int max_dse_grid then
+      let member, n =
+        List.fold_left2
+          (fun (m, n) m' n' -> if n' > n then (m', n') else (m, n))
+          ("pitches", 0)
+          [ "pitches"; "p_metallic"; "removal"; "drives"; "schemes" ]
+          (Array.to_list axes)
+      in
+      Core.Diag.failf ~stage
+        ~context:
+          [ ("fine_grid", Printf.sprintf "%.0f" grid);
+            (member, string_of_int n) ]
+        "dse job: fine_grid above the %d service budget" max_dse_grid
+    else
+      owner
+        (let* () = Dse.Engine.validate config in
+         (* the engine characterizes the cell at every drive of the axis *)
+         List.fold_left
+           (fun acc drive ->
+             let* () = acc in
+             Result.map ignore (Stdcell.Library.offers ~name:j.dse_cell ~drive))
+           (Ok ()) j.dse_drives))
 
 (* The cache key: a stable fingerprint of every field that affects the
-   result.  A flow job's source enters as the netlist digest the
-   pipeline keys its passes on, or as the digest of its netlist text.
+   result.  A flow job's source enters as its netlist's digest (the
+   full adder), its parameters, or the digest of its netlist text.
    Floats print as the JSON codec prints them, in the shortest form that
    round-trips, so jobs that differ in any bit of a float field never
    share a key (and a cached document). *)

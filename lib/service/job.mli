@@ -144,10 +144,13 @@ val validate : t -> (unit, Core.Diag.t) result
 (** Admission-control check, without building a library or a cell.  It
     decides only the service's own budgets, which bound how long one job
     holds the scheduler: fault and testgen [trials] of at most 1000000, a
-    dse [max_trials] of at most 20000, at most 16 characterize [loads],
-    each load (and a dse [load]) at most 64, ripple bits in 1..64, a
-    positive finite flow aspect, and a non-empty netlist text.  Every other
-    rule is asked of its owner on the config {!Runner} runs:
+    dse [max_trials] of at most 20000, a dse fine grid (the product of
+    its deduplicated axes) of at most 256 points, at most 16 characterize
+    [loads], each load (and a dse [load]) at most 64, a positive finite
+    flow aspect, and a non-empty netlist text.  A grid refusal names
+    [fine_grid] and the longest axis's member with their counts.  Every
+    other rule is asked of its owner on the config {!Runner} runs:
+    {!Flow.Ripple_adder.check_bits} (a ripple job's bits),
     {!Flow.Generate.parse} (a generated design spec),
     {!Layout.Cell.lookup} (the cell and the drive of fault and testgen
     jobs),

@@ -210,7 +210,7 @@ let resolve_source = function
   | Job.Netlist_text text -> Flow.Netlist_ir.of_string text
   | Job.Generated spec -> Flow.Generate.of_spec spec
 
-let flow ?pass_cache ?trace (j : Job.flow_job) =
+let flow ?trace (j : Job.flow_job) =
   guard (Job.Flow j) @@ fun () ->
   let* netlist = resolve_source j.Job.source in
   let drives =
@@ -224,7 +224,7 @@ let flow ?pass_cache ?trace (j : Job.flow_job) =
     Flow.Pipeline.spec_of_netlist ~scheme:j.Job.scheme ~aspect:j.Job.aspect
       ~lib netlist
   in
-  let outcome, report = Flow.Pipeline.run ?cache:pass_cache ?trace spec in
+  let outcome, report = Flow.Pipeline.run ?trace spec in
   Ok { outcome; report }
 
 (* Sizes and metrics, never timings — see the mli determinism note. *)
@@ -242,9 +242,9 @@ let flow_json (r : Flow.Pipeline.result_t) =
       ("spec_digest", Json.Str (Lazy.force r.Flow.Pipeline.spec_digest));
     ]
 
-let run ~pool ~pass_cache = function
+let run ~pool ?pass_cache:_ = function
   | Job.Flow j ->
-    let* f = flow ~pass_cache j in
+    let* f = flow j in
     Result.map flow_json f.outcome
   | Job.Fault j -> Result.map fault_json (fault ~pool j)
   | Job.Characterize j -> Result.map characterize_json (characterize ~pool j)

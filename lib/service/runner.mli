@@ -46,15 +46,14 @@ type flow_run = {
 }
 
 val flow :
-  ?pass_cache:Core.Pass.cache ->
   ?trace:(Core.Pass.trace_event -> unit) ->
   Job.flow_job ->
   (flow_run, Core.Diag.t) result
 (** Resolve the source, build the library the design needs and run the
-    staged pipeline.  The [Error] branch is a failure before any pass ran
+    flow's passes.  The [Error] branch is a failure before any pass ran
     (an unknown design spec, say); a failing pass is the run's
-    [outcome].  Jobs sharing a design source and a [pass_cache] skip the
-    unchanged upstream passes even when their result digests differ. *)
+    [outcome].  Nothing is cached here: a repeated job is answered by
+    the scheduler's result cache before it reaches the runner. *)
 
 val testgen_json : Testgen.Campaign.result -> Json.t
 (** The testgen result document, which the CLI's [test-gen --json] also
@@ -69,8 +68,9 @@ val dse_json : Dse.Engine.outcome -> Json.t
 
 val run :
   pool:Parallel.Pool.t ->
-  pass_cache:Core.Pass.cache ->
+  ?pass_cache:Core.Pass.cache ->
   Job.t ->
   (Json.t, Core.Diag.t) result
 (** Execute the job through its typed entry point and build its served
-    document. *)
+    document.  [pass_cache] is ignored; it is kept only for
+    [perfbench/served.ml], which still passes one. *)

@@ -75,7 +75,6 @@ type t = {
      (or the scheduler is confined to one thread). *)
   lock : Mutex.t;
   pool : Parallel.Pool.t;
-  pass_cache : Core.Pass.cache;
   (* one FIFO per class; dequeue scans High, Normal, Low in order *)
   q_high : jrec Queue.t;
   q_normal : jrec Queue.t;
@@ -178,7 +177,6 @@ let create ?(config = default_config) () =
     config;
     lock = Mutex.create ();
     pool = Parallel.Pool.create ~domains:config.domains ();
-    pass_cache = Core.Pass.cache_create ();
     q_high = Queue.create ();
     q_normal = Queue.create ();
     q_low = Queue.create ();
@@ -593,7 +591,7 @@ let run_next t =
     in
     let result =
       Telemetry.with_span "service.job" ~attrs (fun () ->
-          Runner.run ~pool:t.pool ~pass_cache:t.pass_cache disp_job)
+          Runner.run ~pool:t.pool disp_job)
     in
     complete_dispatch t disp_id result
 

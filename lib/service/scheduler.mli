@@ -60,9 +60,9 @@
     [cache_dir] is set) as one JSON document per digest on disk, written
     atomically.  A hit completes the job as [Done { cached = true }]
     without running it — across scheduler instances and process
-    restarts.  Flow jobs additionally share a {!Core.Pass.cache}, so two
-    different specs over one netlist still reuse its validate
-    artifact. *)
+    restarts.  It is the only cache across jobs: every pass of a flow
+    job is a function of the job's digest, so a repeat is a hit here
+    before the runner is called. *)
 
 type priority = High | Normal | Low
 

@@ -129,9 +129,7 @@ let flow_golden () =
 
 let runner_document job =
   Parallel.Pool.with_pool ~domains:1 @@ fun pool ->
-  match
-    Service.Runner.run ~pool ~pass_cache:(Core.Pass.cache_create ()) job
-  with
+  match Service.Runner.run ~pool job with
   | Ok doc -> Core.Json.to_string doc ^ "\n"
   | Error d -> Alcotest.fail (Core.Diag.to_string d)
 

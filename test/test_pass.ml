@@ -1,6 +1,5 @@
-(* Pass-manager tests: structured diagnostics, pipeline execution and
-   reporting, and the digest-keyed artifact cache that lets the flow skip
-   unchanged stages. *)
+(* Pass tests: structured diagnostics, the timed and measured pass step,
+   its reports, and the flow's four passes in a row. *)
 
 let checkb = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -83,131 +82,73 @@ let diag_ok_exn () =
        false
      with Core.Diag.Failure d -> d.Core.Diag.message = "boom")
 
-(* --- pass manager --- *)
+(* --- pass steps --- *)
 
-let double_pass =
-  Core.Pass.make ~name:"double"
-    ~digest:string_of_int
-    ~counters:(fun x -> [ ("value", x) ])
-    (fun x -> Ok (x * 2))
+let no_trace (_ : Core.Pass.trace_event) = ()
+let value x = [ ("value", x) ]
 
-let incr_pass = Core.Pass.make ~name:"incr" (fun x -> Ok (x + 1))
+let step_runs_and_measures () =
+  let r, report =
+    Core.Pass.step ~trace:no_trace ~counters:value "double" (fun () -> Ok 10)
+  in
+  checkb "result" true (r = Ok 10);
+  check_str "pass name" "double" report.Core.Pass.pass_name;
+  checkb "wall time measured" true (report.Core.Pass.wall_s >= 0.);
+  checkb "counters measured on the output" true
+    (report.Core.Pass.counters = [ ("value", 10) ])
 
-let fail_pass =
-  Core.Pass.make ~name:"boom" (fun (_ : int) ->
-      (Core.Diag.fail ~stage:"boom" "always fails" : (int, Core.Diag.t) result))
-
-let pipeline_executes () =
-  let pl = Core.Pass.(pass double_pass >>> incr_pass) in
-  Alcotest.(check (list string))
-    "names in order" [ "double"; "incr" ] (Core.Pass.names pl);
-  let r, report = Core.Pass.execute pl 5 in
-  checkb "result" true (r = Ok 11);
-  check_int "two pass reports" 2 (List.length report.Core.Pass.passes);
-  let first = List.hd report.Core.Pass.passes in
-  check_str "first pass" "double" first.Core.Pass.pass_name;
-  checkb "not cached" false first.Core.Pass.cached;
-  checkb "counters recorded" true
-    (first.Core.Pass.counters = [ ("value", 10) ])
-
-let pipeline_stops_on_error () =
-  let pl = Core.Pass.(pass double_pass >>> fail_pass >>> incr_pass) in
-  let r, report = Core.Pass.execute pl 1 in
+let step_failure_tags_the_pass () =
+  let seen = ref [] in
+  let r, report =
+    Core.Pass.step
+      ~trace:(fun e -> seen := Core.Pass.trace_event_to_string e :: !seen)
+      ~counters:value "boom"
+      (fun () -> Core.Diag.fail ~stage:"boom" "always fails")
+  in
   (match r with
   | Ok _ -> Alcotest.fail "expected failure"
   | Error d ->
     check_str "failing stage" "boom" d.Core.Diag.stage;
     checkb "pass recorded in context" true
       (List.assoc_opt "pass" d.Core.Diag.context = Some "boom"));
-  (* the report covers only the passes that ran *)
-  Alcotest.(check (list string))
-    "ran double then boom" [ "double"; "boom" ]
-    (List.map
-       (fun p -> p.Core.Pass.pass_name)
-       report.Core.Pass.passes)
+  checkb "a failed pass has no counters" true (report.Core.Pass.counters = []);
+  match List.rev !seen with
+  | [ enter; failed ] ->
+    check_str "enter" "-> boom" enter;
+    checkb "failure names the pass" true (contains "!! boom" failed)
+  | evs -> Alcotest.failf "expected two events, got %d" (List.length evs)
 
-let pipeline_cache_hits () =
-  let cache = Core.Pass.cache_create () in
-  let pl = Core.Pass.(pass double_pass >>> incr_pass) in
-  let r1, rep1 = Core.Pass.execute ~cache pl 5 in
-  let r2, rep2 = Core.Pass.execute ~cache pl 5 in
-  checkb "same result" true (r1 = r2);
-  let cached_of rep =
-    List.map (fun p -> (p.Core.Pass.pass_name, p.Core.Pass.cached)) rep.Core.Pass.passes
+let two_steps ~trace =
+  let double =
+    snd (Core.Pass.step ~trace ~counters:value "double" (fun () -> Ok 4))
   in
-  Alcotest.(check (list (pair string bool)))
-    "first run all live"
-    [ ("double", false); ("incr", false) ]
-    (cached_of rep1);
-  (* only the digested pass participates in the cache *)
-  Alcotest.(check (list (pair string bool)))
-    "second run serves double from cache"
-    [ ("double", true); ("incr", false) ]
-    (cached_of rep2);
-  (* a different input misses *)
-  let _, rep3 = Core.Pass.execute ~cache pl 6 in
-  Alcotest.(check (list (pair string bool)))
-    "changed input re-runs"
-    [ ("double", false); ("incr", false) ]
-    (cached_of rep3)
-
-(* a step computes its key once, for both the lookup and the store, and
-   not at all without a cache *)
-let digest_once_per_step () =
-  let calls = ref 0 in
-  let counted =
-    Core.Pass.make ~name:"counted"
-      ~digest:(fun x ->
-        incr calls;
-        string_of_int x)
-      (fun x -> Ok (x + 1))
-  in
-  let pl = Core.Pass.pass counted in
-  ignore (Core.Pass.execute pl 1);
-  check_int "no cache, no key" 0 !calls;
-  let cache = Core.Pass.cache_create () in
-  ignore (Core.Pass.execute ~cache pl 1);
-  check_int "a miss keys once" 1 !calls;
-  ignore (Core.Pass.execute ~cache pl 1);
-  check_int "a hit keys once" 2 !calls
+  let incr = snd (Core.Pass.step ~trace ~counters:value "incr" (fun () -> Ok 5)) in
+  { Core.Pass.passes = [ double; incr ]; total_s = 0. }
 
 let trace_events () =
   let seen = ref [] in
-  let trace e = seen := Core.Pass.trace_event_to_string e :: !seen in
-  let pl = Core.Pass.(pass double_pass >>> incr_pass) in
-  ignore (Core.Pass.execute ~trace pl 2);
+  ignore
+    (two_steps ~trace:(fun e ->
+         seen := Core.Pass.trace_event_to_string e :: !seen));
   let events = List.rev !seen in
   check_int "enter/exit per pass" 4 (List.length events);
   checkb "first is enter double" true (contains "double" (List.hd events));
-  (* exit lines are self-describing: cached flag + artifact counters *)
+  (* exit lines are self-describing: the artifact counters *)
   let exit_double = List.nth events 1 in
-  checkb "exit has cached flag" true (contains "cached=no" exit_double);
-  checkb "exit has counters" true (contains "value=4" exit_double)
-
-let trace_cache_hit_counters () =
-  let cache = Core.Pass.cache_create () in
-  let pl = Core.Pass.pass double_pass in
-  ignore (Core.Pass.execute ~cache pl 3);
-  let seen = ref [] in
-  let trace e = seen := Core.Pass.trace_event_to_string e :: !seen in
-  ignore (Core.Pass.execute ~cache ~trace pl 3);
-  match !seen with
-  | [ hit ] ->
-    checkb "hit marked cached" true (contains "cached=yes" hit);
-    checkb "hit carries counters" true (contains "value=6" hit)
-  | evs -> Alcotest.failf "expected one cache-hit event, got %d" (List.length evs)
+  checkb "exit starts with the pass" true (contains "<- double (" exit_double);
+  checkb "exit has counters" true (contains "ms) value=4" exit_double)
 
 let report_rendering () =
-  let pl = Core.Pass.(pass double_pass >>> incr_pass) in
-  let _, report = Core.Pass.execute pl 3 in
+  let report = two_steps ~trace:no_trace in
   let text = Core.Pass.report_to_text report in
   checkb "text has rows" true
     (contains "double" text && contains "incr" text && contains "total" text);
+  checkb "text header" true (contains "wall-ms  counters\n" text);
   let json = Core.Pass.report_to_json report in
   checkb "json has passes" true (contains "\"passes\"" json);
-  checkb "json has counters" true (contains "\"value\":6" json)
+  checkb "json has counters" true (contains "\"value\":5" json)
 
-(* --- the real flow through the pass manager --- *)
+(* --- the real flow --- *)
 
 let lib = Stdcell.Library.cnfet_exn ~drives:[ 2; 4; 7; 9 ] ()
 
@@ -222,53 +163,26 @@ let flow_runs () =
     checkb "gds bytes written" true
       (String.length res.Flow.Pipeline.gds_bytes > 0));
   Alcotest.(check (list string))
-    "all five passes ran" Flow.Pipeline.pass_names
+    "all four passes ran" Flow.Pipeline.pass_names
     (List.map (fun p -> p.Core.Pass.pass_name) report.Core.Pass.passes)
 
-(* the ISSUE acceptance scenario: edit only placement parameters and the
-   front of the flow is served from the cache *)
-let flow_cache_skips_upstream () =
-  let cache = Core.Pass.cache_create () in
-  let fa = Flow.Full_adder.netlist () in
-  let spec = Flow.Pipeline.spec_of_netlist ~scheme:`S2 ~lib fa in
-  let r1, _ = Flow.Pipeline.run ~cache spec in
-  checkb "first run ok" true (Result.is_ok r1);
-  (* identical spec: every digested pass is a cache hit *)
-  let _, rep2 = Flow.Pipeline.run ~cache spec in
-  checkb "identical rerun fully cached" true
-    (List.for_all (fun p -> p.Core.Pass.cached) rep2.Core.Pass.passes);
-  (* changed placement parameter: validate cached, the rest re-run *)
-  let spec' = { spec with Flow.Pipeline.scheme = `S1 } in
-  let r3, rep3 = Flow.Pipeline.run ~cache spec' in
-  checkb "edited run ok" true (Result.is_ok r3);
-  let cached_of name =
-    (List.find
-       (fun p -> p.Core.Pass.pass_name = name)
-       rep3.Core.Pass.passes)
-      .Core.Pass.cached
+(* a design that validates but cannot be placed: the flow stops at the
+   failing pass, and the passes after it never run *)
+let pipeline_stops_on_error () =
+  let undersized =
+    Result.get_ok
+      (Flow.Netlist_ir.of_string
+         "design tiny\ninput A\noutput Z\ninst u1 INV 1 out=Z A=A\n")
   in
-  checkb "validate cached" true (cached_of "validate");
-  checkb "place re-run" false (cached_of "place");
-  checkb "layout re-run" false (cached_of "layout");
-  checkb "export re-run" false (cached_of "export")
-
-(* The flow's pass-cache keys, pinned as the pipeline computed them
-   before the netlist digest travelled lazily with the stages. *)
-let flow_cache_keys_pinned () =
-  let cache = Core.Pass.cache_create () in
-  ignore
-    (Flow.Pipeline.run ~cache
-       (Flow.Pipeline.spec_of_netlist ~scheme:`S1 ~lib
-          (Flow.Full_adder.netlist ())));
-  Alcotest.(check (list (pair string string)))
-    "netlist source keys"
-    [
-      ("export", "f1b6abb792fe6f32ded2ac30f4a07d8d");
-      ("layout", "689d5f866f9f004bda7d91fcb3945eac");
-      ("place", "689d5f866f9f004bda7d91fcb3945eac");
-      ("validate", "a4a251d8b60b1414e6ab9886db1d4e3b");
-    ]
-    (List.sort compare (Core.Pass.cache_entries cache))
+  let r, report = Flow.Pipeline.run (Flow.Pipeline.spec_of_netlist ~lib undersized) in
+  (match r with
+  | Ok _ -> Alcotest.fail "expected a placement failure"
+  | Error d ->
+    checkb "pass recorded in context" true
+      (List.assoc_opt "pass" d.Core.Diag.context = Some "place"));
+  Alcotest.(check (list string))
+    "ran validate then place" [ "validate"; "place" ]
+    (List.map (fun p -> p.Core.Pass.pass_name) report.Core.Pass.passes)
 
 let flow_reports_diagnostics () =
   (* an unknown cell fails validation with a stage-tagged diagnostic, and
@@ -304,18 +218,13 @@ let suite =
     Alcotest.test_case "diag with_context" `Quick diag_with_context;
     Alcotest.test_case "diag json" `Quick diag_json;
     Alcotest.test_case "diag ok_exn" `Quick diag_ok_exn;
-    Alcotest.test_case "pipeline executes" `Quick pipeline_executes;
-    Alcotest.test_case "pipeline stops on error" `Quick pipeline_stops_on_error;
-    Alcotest.test_case "pipeline cache hits" `Quick pipeline_cache_hits;
-    Alcotest.test_case "digest once per step" `Quick digest_once_per_step;
+    Alcotest.test_case "step runs and measures" `Quick step_runs_and_measures;
+    Alcotest.test_case "step failure tags the pass" `Quick
+      step_failure_tags_the_pass;
     Alcotest.test_case "trace events" `Quick trace_events;
-    Alcotest.test_case "trace cache-hit counters" `Quick
-      trace_cache_hit_counters;
     Alcotest.test_case "report rendering" `Quick report_rendering;
     Alcotest.test_case "flow runs" `Slow flow_runs;
-    Alcotest.test_case "flow cache skips upstream" `Slow
-      flow_cache_skips_upstream;
-    Alcotest.test_case "flow cache keys pinned" `Quick flow_cache_keys_pinned;
+    Alcotest.test_case "pipeline stops on error" `Quick pipeline_stops_on_error;
     Alcotest.test_case "flow reports diagnostics" `Quick
       flow_reports_diagnostics;
   ]

@@ -391,7 +391,6 @@ let dispatch_matches_in_process () =
     Scheduler.with_scheduler ~config (fun t ->
         submit_batch t;
         let pool = Parallel.Pool.create ~domains:1 () in
-        let pass_cache = Core.Pass.cache_create () in
         Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool)
         @@ fun () ->
         let rec loop acc =
@@ -399,7 +398,7 @@ let dispatch_matches_in_process () =
           | None -> List.rev acc
           | Some (Scheduler.Resolved c) -> loop (c :: acc)
           | Some (Scheduler.Run { disp_id; disp_job; _ }) -> (
-            let result = Service.Runner.run ~pool ~pass_cache disp_job in
+            let result = Service.Runner.run ~pool disp_job in
             match Scheduler.complete_dispatch t disp_id result with
             | Some c -> loop (c :: acc)
             | None -> Alcotest.fail "dispatched job was not settled")

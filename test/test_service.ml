@@ -475,6 +475,77 @@ let job_validate_budgets () =
       ("dse load 64", Job.dse ~load:64 "NAND2");
     ]
 
+(* Each generator bounds its design from above, in the rule parse,
+   of_spec and admission all read: the largest design of every family
+   stays near mult64's size, and a ripple job reads the same rule as a
+   generated ripple spec. *)
+let job_validate_generated_bounds () =
+  List.iter
+    (fun (what, source, member, value) ->
+      match Job.validate (Job.flow source) with
+      | Ok () -> Alcotest.failf "%s accepted" what
+      | Error d ->
+        check_str (what ^ ": " ^ member) value
+          (Option.value ~default:""
+             (List.assoc_opt member d.Core.Diag.context)))
+    [
+      ("rand gates", Job.Generated "rand30001s1", "gates", "30001");
+      ("huge rand gates", Job.Generated "rand2000000000s1", "gates",
+       "2000000000");
+      ("lfsr steps", Job.Generated "lfsr8x5001", "steps", "5001");
+      ("huge lfsr steps", Job.Generated "lfsr8x1000000000", "steps",
+       "1000000000");
+      ("generated ripple", Job.Generated "ripple65", "bits", "65");
+      ("ripple job", Job.Ripple 65, "bits", "65");
+      ("ripple job origin", Job.Ripple 65, "origin", "ripple_adder");
+    ];
+  List.iter
+    (fun source ->
+      match Job.validate (Job.flow source) with
+      | Ok () -> ()
+      | Error d -> Alcotest.fail (Core.Diag.to_string d))
+    [
+      Job.Generated "mult64"; Job.Generated "rand30000s1";
+      Job.Generated "rand10000s1"; Job.Generated "lfsr62x5000";
+      Job.Generated "lfsr16x40"; Job.Generated "lfsr16x8";
+      Job.Generated "ripple64"; Job.Ripple 64; Job.Ripple 24;
+    ]
+
+(* A dse job's fine grid has a budget: the refusal names the grid and
+   the longest axis, and the default grid and one at the budget pass. *)
+let job_validate_dse_grid_budget () =
+  let values n = List.init n (fun i -> 4. +. (float_of_int i /. 1000.)) in
+  List.iter
+    (fun (what, job, context) ->
+      match Job.validate job with
+      | Ok () -> Alcotest.failf "%s accepted" what
+      | Error d ->
+        check_str (what ^ ": stage") "service.job" d.Core.Diag.stage;
+        Alcotest.(check (list (pair string string)))
+          what context d.Core.Diag.context)
+    [
+      ("2000 pitches", Job.dse ~pitches:(values 2000) "NAND2",
+       [ ("fine_grid", "48000"); ("pitches", "2000") ]);
+      ("264 points", Job.dse ~pitches:(values 11) "NAND2",
+       [ ("fine_grid", "264"); ("pitches", "11") ]);
+      ("long metallic axis",
+       Job.dse ~pitches:[ 5. ]
+         ~p_metallic:(List.init 300 (fun i -> float_of_int i /. 1000.))
+         "NAND2",
+       [ ("fine_grid", "2400"); ("p_metallic", "300") ]);
+    ];
+  List.iter
+    (fun (what, job) ->
+      match Job.validate job with
+      | Ok () -> ()
+      | Error d -> Alcotest.failf "%s refused: %s" what (Core.Diag.to_string d))
+    [
+      ("default grid", Job.dse "NAND2");
+      ("duplicates collapse",
+       Job.dse ~pitches:(List.init 2000 (fun _ -> 5.)) "NAND2");
+      ("256 points", Job.dse ~pitches:(values 32) ~p_metallic:[ 0.1 ] "NAND2");
+    ]
+
 (* Admission reads the generator's own spec parser, which builds nothing:
    a generated-design job passes exactly when its spec builds, and a
    refused spec names the generator as its origin. *)
@@ -500,15 +571,12 @@ let job_validate_parses_specs () =
       "ripple0"; "nosuch9"; "";
     ]
 
-(* A served flow job's spec digest comes from the run's own netlist
-   digest; its bytes were captured when the runner hashed the netlist
-   again after the run. *)
+(* A served flow job's spec digest, pinned when the runner hashed the
+   netlist again after the run; its layout must not move. *)
 let flow_spec_digest_pinned () =
   let spec_digest job =
     Parallel.Pool.with_pool ~domains:1 @@ fun pool ->
-    match
-      Service.Runner.run ~pool ~pass_cache:(Core.Pass.cache_create ()) job
-    with
+    match Service.Runner.run ~pool job with
     | Ok doc ->
       Option.get (Option.bind (Json.member "spec_digest" doc) Json.to_str)
     | Error d -> Alcotest.fail (Core.Diag.to_string d)
@@ -518,14 +586,14 @@ let flow_spec_digest_pinned () =
   let tiny = "design tiny\ninput A\noutput Z\ninst u1 INV 1 out=Z A=A\n" in
   check_str "netlist text" "7a1f8bc717ad0b12646ca73ee1f5c9df"
     (spec_digest (Job.flow ~scheme:`S1 ~aspect:2. (Job.Netlist_text tiny)));
-  (* without a pass cache nothing asks for a key, so nothing is hashed *)
+  (* a run that serves no document hashes no netlist *)
   let lib = Core.Diag.ok_exn (Stdcell.Library.cnfet ~drives:[ 1 ] ()) in
   let netlist = Result.get_ok (Flow.Netlist_ir.of_string tiny) in
   match
     fst (Flow.Pipeline.run (Flow.Pipeline.spec_of_netlist ~lib netlist))
   with
   | Ok r ->
-    checkb "cache-less run leaves the digest unforced" false
+    checkb "a run leaves the digest unforced" false
       (Lazy.is_val r.Flow.Pipeline.spec_digest)
   | Error d -> Alcotest.fail (Core.Diag.to_string d)
 
@@ -555,31 +623,23 @@ let digest_floats_exact () =
         Job.digest (Job.dse ~pitches:[ 4.; 5.0000001 ] "NAND2") );
     ]
 
-(* Adjacent doubles that "%g" printed alike (0.570423) used to share the
-   placement pass's cache entry, so the second of two flow jobs was
-   served the first job's placement. *)
-let flow_pass_cache_exact_aspect () =
+(* Adjacent doubles that "%g" prints alike (0.570423) must place, and
+   digest, on their own bits. *)
+let flow_spec_digest_exact_aspect () =
   let a = 0.57042253521126751 and b = 0.57042253521126762 in
   checkb "adjacent doubles" true (Float.succ a = b);
   let spec_digest doc =
     Option.get (Option.bind (Json.member "spec_digest" doc) Json.to_str)
   in
   Parallel.Pool.with_pool ~domains:1 (fun pool ->
-      let run pass_cache aspect =
-        match
-          Service.Runner.run ~pool ~pass_cache (Job.flow ~aspect Job.Full_adder)
-        with
+      let run aspect =
+        match Service.Runner.run ~pool (Job.flow ~aspect Job.Full_adder) with
         | Ok doc -> doc
         | Error d -> Alcotest.fail (Core.Diag.to_string d)
       in
-      let shared = Core.Pass.cache_create () in
-      let doc_a = run shared a in
-      let doc_b = run shared b in
-      let fresh_b = run (Core.Pass.cache_create ()) b in
+      let doc_a = run a and doc_b = run b in
       checkb "the two aspects place differently" true
-        (Json.to_string fresh_b <> Json.to_string doc_a);
-      check_str "second document equals a fresh run" (Json.to_string fresh_b)
-        (Json.to_string doc_b);
+        (Json.to_string doc_b <> Json.to_string doc_a);
       checkb "spec digests differ" true
         (spec_digest doc_a <> spec_digest doc_b))
 
@@ -753,9 +813,7 @@ let job_angle_range () =
       List.iter
         (fun (label, j, digest, doc) ->
           check_str (label ^ " digest") digest (Job.digest j);
-          match
-            Service.Runner.run ~pool ~pass_cache:(Core.Pass.cache_create ()) j
-          with
+          match Service.Runner.run ~pool j with
           | Ok d ->
             check_str (label ^ " document") doc
               (Digest.to_hex (Digest.string (Json.to_string d)))
@@ -1708,11 +1766,15 @@ let suite =
       job_validate_budgets;
     Alcotest.test_case "job validate parses design specs" `Quick
       job_validate_parses_specs;
+    Alcotest.test_case "job validate bounds generated designs" `Quick
+      job_validate_generated_bounds;
+    Alcotest.test_case "job validate budgets the dse grid" `Quick
+      job_validate_dse_grid_budget;
     Alcotest.test_case "flow spec digest pinned" `Quick
       flow_spec_digest_pinned;
     Alcotest.test_case "digest floats exact" `Quick digest_floats_exact;
-    Alcotest.test_case "flow pass cache keys exact aspect" `Quick
-      flow_pass_cache_exact_aspect;
+    Alcotest.test_case "flow spec digest exact aspect" `Quick
+      flow_spec_digest_exact_aspect;
     QCheck_alcotest.to_alcotest job_codec_roundtrip_prop;
     QCheck_alcotest.to_alcotest job_digest_injective_prop;
     Alcotest.test_case "job angle range" `Quick job_angle_range;

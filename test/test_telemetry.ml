@@ -89,15 +89,14 @@ let nesting_parents () =
         [ (None, "outer", 1); (Some "outer", "inner", 1) ]
         (List.sort compare shape))
 
-(* --- pass-manager bridge --- *)
+(* --- flow pass bridge --- *)
 
 let lib = Stdcell.Library.cnfet_exn ~drives:[ 2; 4; 7; 9 ] ()
 
 let pipeline_bridge () =
   recording (fun () ->
-      let cache = Core.Pass.cache_create () in
       let spec = Flow.Pipeline.spec_of_netlist ~lib (Flow.Full_adder.netlist ()) in
-      let r, _ = Flow.Pipeline.run ~cache spec in
+      let r, _ = Flow.Pipeline.run spec in
       (match r with
       | Error d -> Alcotest.fail (Core.Diag.to_string d)
       | Ok _ -> ());
@@ -107,18 +106,7 @@ let pipeline_bridge () =
         (fun pass ->
           checkb (pass ^ " span under flow") true
             (List.mem (Some "flow", pass, 1) shape))
-        Flow.Pipeline.pass_names;
-      (* a cached rerun turns passes into instants + a cache-hit counter *)
-      let _ = Flow.Pipeline.run ~cache spec in
-      let snap = Telemetry.collect () in
-      let hits =
-        Option.value
-          (List.assoc_opt "flow.cache_hits" snap.Telemetry.counters)
-          ~default:0
-      in
-      checkb "cache hits counted" true (hits > 0);
-      checkb "cache hits recorded as instants" true
-        (List.exists (fun sp -> sp.Telemetry.instant) snap.Telemetry.spans))
+        Flow.Pipeline.pass_names)
 
 (* --- exporters --- *)
 
@@ -523,9 +511,8 @@ let exports_gen =
   let pass =
     let+ pass_name = tricky
     and+ wall_s = finite
-    and+ cached = bool
     and+ counters = list (pair tricky small_nat) in
-    { Core.Pass.pass_name; wall_s; cached; counters }
+    { Core.Pass.pass_name; wall_s; counters }
   in
   let+ spans = list span
   and+ counters = list (pair tricky small_nat)
