@@ -42,7 +42,8 @@ bench-smoke:
 
 # Perf ratchet: rerun the bench behind every *committed* BENCH_*.json
 # and compare fresh against baseline (median-normalized, >15% regression
-# fails).  The bench name is the file name minus the BENCH_/.json
+# fails; a row marked as a ratio of two timings is compared with its own
+# baseline instead).  The bench name is the file name minus the BENCH_/.json
 # wrapping, so committing a new ledger automatically adds it to the
 # gate.  The dse bench also asserts adaptive-vs-exhaustive front
 # equality and the <= 50% evaluation budget.

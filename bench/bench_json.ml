@@ -18,8 +18,14 @@ type entry = {
       (* bench-specific numeric facts (cell counts, cache hits, ...) *)
 }
 
-let entry ?extras ?(ratio = false) ~name ~wall_ms ~throughput () =
-  { name; wall_ms; throughput; ratio; extras = Option.value extras ~default:[] }
+let entry ?extras ~name ~wall_ms ~throughput () =
+  {
+    name;
+    wall_ms;
+    throughput;
+    ratio = false;
+    extras = Option.value extras ~default:[];
+  }
 
 (* Values are rounded to three decimals and printed by the JSON codec,
    one entry per line so ledgers diff by row. *)
