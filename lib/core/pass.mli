@@ -1,8 +1,8 @@
 (** Instrumentation for the passes of the logic-to-GDSII flow.
 
     A pass is one named, fallible step of the flow ([validate], [place],
-    [layout], [export]).  {!step} runs it, emitting optional enter/exit
-    trace events and measuring its wall-clock time and its artifact-size
+    [layout], [export]).  {!step} runs it, emitting enter/exit trace
+    events and measuring its wall-clock time and its artifact-size
     counters; the flow strings its steps together and collects their
     reports. *)
 

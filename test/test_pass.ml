@@ -84,12 +84,11 @@ let diag_ok_exn () =
 
 (* --- pass steps --- *)
 
-let no_trace (_ : Core.Pass.trace_event) = ()
 let value x = [ ("value", x) ]
 
 let step_runs_and_measures () =
   let r, report =
-    Core.Pass.step ~trace:no_trace ~counters:value "double" (fun () -> Ok 10)
+    Core.Pass.step ~trace:ignore ~counters:value "double" (fun () -> Ok 10)
   in
   checkb "result" true (r = Ok 10);
   check_str "pass name" "double" report.Core.Pass.pass_name;
@@ -139,7 +138,7 @@ let trace_events () =
   checkb "exit has counters" true (contains "ms) value=4" exit_double)
 
 let report_rendering () =
-  let report = two_steps ~trace:no_trace in
+  let report = two_steps ~trace:ignore in
   let text = Core.Pass.report_to_text report in
   checkb "text has rows" true
     (contains "double" text && contains "incr" text && contains "total" text);
