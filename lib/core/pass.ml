@@ -1,7 +1,7 @@
 type pass_report = {
   pass_name : string;
   wall_s : float;
-  counters : (string * int) list;
+  counters : (string * int) list Lazy.t;
 }
 
 type report = { passes : pass_report list; total_s : float }
@@ -20,20 +20,23 @@ let trace_event_to_string = function
       (Printf.sprintf "<- %s (%.3f ms)" n (1000. *. s) :: List.map counter cs)
   | Failed (n, d) -> Printf.sprintf "!! %s: %s" n (Diag.to_string d)
 
-let step ~trace ~counters name run =
-  trace (Enter name);
+let step ?trace ~counters name run =
+  (* the event is built only for an attached trace: an [Exit] forces the
+     counters *)
+  let emit event = Option.iter (fun f -> f (event ())) trace in
+  emit (fun () -> Enter name);
   let t0 = Unix.gettimeofday () in
   let result = run () in
   let wall_s = Unix.gettimeofday () -. t0 in
   match result with
   | Ok artifact ->
-    let counters = counters artifact in
-    trace (Exit (name, wall_s, counters));
+    let counters = lazy (counters artifact) in
+    emit (fun () -> Exit (name, wall_s, Lazy.force counters));
     (Ok artifact, { pass_name = name; wall_s; counters })
   | Error d ->
-    trace (Failed (name, d));
+    emit (fun () -> Failed (name, d));
     ( Error (Diag.with_context [ ("pass", name) ] d),
-      { pass_name = name; wall_s; counters = [] } )
+      { pass_name = name; wall_s; counters = Lazy.from_val [] } )
 
 let report_to_text r =
   let buf = Buffer.create 256 in
@@ -47,7 +50,7 @@ let report_to_text r =
       Buffer.add_string buf
         (Printf.sprintf "%-*s  %10.3f  %s\n" name_w p.pass_name
            (1000. *. p.wall_s)
-           (String.concat " " (List.map counter p.counters))))
+           (String.concat " " (List.map counter (Lazy.force p.counters)))))
     r.passes;
   Buffer.add_string buf
     (Printf.sprintf "%-*s  %10.3f\n" name_w "total" (1000. *. r.total_s));
@@ -60,7 +63,9 @@ let report_to_json r =
         ("name", Json.Str p.pass_name);
         ("wall_s", Json.Num p.wall_s);
         ( "counters",
-          Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) p.counters) );
+          Json.Obj
+            (List.map (fun (k, v) -> (k, Json.int v)) (Lazy.force p.counters))
+        );
       ]
   in
   Json.to_string

@@ -15,13 +15,10 @@ type t = {
 
 let stage = "netlist"
 
-let drivers t =
-  List.map (fun i -> (i.output, i)) t.instances
-
-(* Hash-based driver/input lookup shared by validation and evaluation.
-   The netlist itself stays a plain list IR; these tables are rebuilt per
-   call so the IR needs no invalidation logic, and they are what keeps
-   validation and evaluation near-linear at 10k+ instances. *)
+(* Hash-based driver/input lookup for evaluation.  The netlist itself
+   stays a plain list IR; these tables are rebuilt per call so the IR
+   needs no invalidation logic, and they are what keeps evaluation
+   near-linear at 10k+ instances. *)
 let driver_table t =
   let tbl = Hashtbl.create (List.length t.instances) in
   (* first driver wins, matching [List.assoc] on the instance list *)
@@ -35,124 +32,156 @@ let input_set t =
   List.iter (fun n -> Hashtbl.replace tbl n ()) t.inputs;
   tbl
 
+(* Validation hashes each net name once: design inputs and instance
+   outputs get ids first, so afterwards a net is primary or driven
+   exactly when it has an id, and the later checks run over arrays
+   indexed by net id or instance position.  The checks run in a fixed
+   order and the first that fails names one violation: the smallest net
+   driven twice, else the first found scanning the instances (and their
+   pins) in order. *)
 let validate t =
-  let driver_nets = List.map fst (drivers t) in
-  let dup =
-    let sorted = List.sort Stdlib.compare driver_nets in
-    let rec find = function
-      | a :: (b :: _ as rest) -> if a = b then Some a else find rest
-      | [ _ ] | [] -> None
-    in
-    find sorted
+  let ( let* ) = Result.bind in
+  let insts = Array.of_list t.instances in
+  let n = Array.length insts in
+  let cap = List.length t.inputs + n in
+  let ids = Hashtbl.create cap and names = Array.make cap "" in
+  let intern net =
+    match Hashtbl.find_opt ids net with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length ids in
+      Hashtbl.add ids net id;
+      names.(id) <- net;
+      id
   in
-  match dup with
-  | Some net ->
-    Core.Diag.failf ~stage
-      ~context:[ ("net", net) ]
-      "net %s has multiple drivers" net
-  | None ->
-    let inputs = input_set t in
-    let driven = Hashtbl.create (List.length driver_nets) in
-    List.iter (fun n -> Hashtbl.replace driven n ()) driver_nets;
-    let known net = Hashtbl.mem inputs net || Hashtbl.mem driven net in
-    let missing_in =
-      List.concat_map
-        (fun i ->
-          List.filter_map
-            (fun (_, net) -> if known net then None else Some (i.inst_name, net))
-            i.conns)
-        t.instances
-    in
-    (match missing_in with
-    | (inst, net) :: _ ->
+  let is_input = Array.make cap false in
+  List.iter (fun net -> is_input.(intern net) <- true) t.inputs;
+  (* the instance driving each net, and the smallest net driven twice *)
+  let driver = Array.make cap (-1) and dup = ref None in
+  Array.iteri
+    (fun k i ->
+      let id = intern i.output in
+      if driver.(id) < 0 then driver.(id) <- k
+      else
+        match !dup with
+        | Some d when String.compare d i.output <= 0 -> ()
+        | _ -> dup := Some i.output)
+    insts;
+  let* () =
+    match !dup with
+    | Some net ->
       Core.Diag.failf ~stage
-        ~context:[ ("instance", inst); ("net", net) ]
-        "instance %s reads undriven net %s" inst net
-    | [] -> (
-      match List.find_opt (fun o -> not (known o)) t.outputs with
-      | Some o ->
-        Core.Diag.failf ~stage
-          ~context:[ ("output", o) ]
-          "design output %s is undriven" o
-      | None -> (
-        match
-          List.find_opt
-            (fun i -> Option.is_none (Logic.Cell_fun.find_opt i.cell))
-            t.instances
-        with
-        | Some i ->
+        ~context:[ ("net", net) ]
+        "net %s has multiple drivers" net
+    | None -> Ok ()
+  in
+  (* the first instance, in order, for which [check] fails *)
+  let rec each check k =
+    if k = n then Ok ()
+    else
+      let* () = check k insts.(k) in
+      each check (k + 1)
+  in
+  (* each instance's fan-in as net ids, in pin order *)
+  let fanin = Array.make n [] in
+  let rec read = function
+    | [] -> Ok []
+    | (_, net) :: rest -> (
+      match Hashtbl.find_opt ids net with
+      | None -> Error net
+      | Some id -> Result.map (List.cons id) (read rest))
+  in
+  let* () =
+    each
+      (fun k i ->
+        match read i.conns with
+        | Ok fan ->
+          fanin.(k) <- fan;
+          Ok ()
+        | Error net ->
+          Core.Diag.failf ~stage
+            ~context:[ ("instance", i.inst_name); ("net", net) ]
+            "instance %s reads undriven net %s" i.inst_name net)
+      0
+  in
+  let* () =
+    match List.find_opt (fun o -> not (Hashtbl.mem ids o)) t.outputs with
+    | Some o ->
+      Core.Diag.failf ~stage
+        ~context:[ ("output", o) ]
+        "design output %s is undriven" o
+    | None -> Ok ()
+  in
+  (* the formal inputs of each instance's cell, looked up once per
+     distinct cell name; [None] for an unknown cell *)
+  let pin_lists = Hashtbl.create 16 in
+  let pins =
+    Array.map
+      (fun i ->
+        match Hashtbl.find_opt pin_lists i.cell with
+        | Some p -> p
+        | None ->
+          let p =
+            Option.map
+              (fun fn -> Logic.Expr.inputs fn.Logic.Cell_fun.core)
+              (Logic.Cell_fun.find_opt i.cell)
+          in
+          Hashtbl.add pin_lists i.cell p;
+          p)
+      insts
+  in
+  let* () =
+    each
+      (fun k i ->
+        if Option.is_some pins.(k) then Ok ()
+        else
           Core.Diag.failf ~stage
             ~context:[ ("instance", i.inst_name); ("cell", i.cell) ]
-            "instance %s uses unknown cell %s" i.inst_name i.cell
-        | None -> (
-          (* every formal input of each instance's cell must be bound *)
-          let unbound =
-            List.find_map
-              (fun i ->
-                match Logic.Cell_fun.find_opt i.cell with
-                | None -> None
-                | Some fn ->
-                  Logic.Expr.inputs fn.Logic.Cell_fun.core
-                  |> List.find_map (fun pin ->
-                         if List.mem_assoc pin i.conns then None
-                         else Some (i.inst_name, pin)))
-              t.instances
-          in
-          match unbound with
-          | Some (inst, pin) ->
-            Core.Diag.failf ~stage
-              ~context:[ ("instance", inst); ("pin", pin) ]
-              "instance %s leaves pin %s unbound" inst pin
-          | None -> (
-          (* cycle check via depth-bounded evaluation ordering; nets whose
-             whole fan-in cone proved acyclic are memoized — an [Ok] for
-             any path prefix implies [Ok] for every prefix, so memoization
-             cannot change which net a cycle is reported on *)
-          let table = driver_table t in
-          let on_path = Hashtbl.create 64 in
-          let acyclic = Hashtbl.create 256 in
-          let rec depth net =
-            if Hashtbl.mem inputs net then Ok 0
-            else if Hashtbl.mem on_path net then Error net
-            else
-              match Hashtbl.find_opt acyclic net with
-              | Some d -> Ok d
-              | None -> (
-                match Hashtbl.find_opt table net with
-                | None -> Ok 0
-                | Some i ->
-                  Hashtbl.replace on_path net ();
-                  let r =
-                    List.fold_left
-                      (fun acc (_, n) ->
-                        match acc with
-                        | Error _ -> acc
-                        | Ok d -> (
-                          match depth n with
-                          | Ok d' -> Ok (max d (d' + 1))
-                          | Error e -> Error e))
-                      (Ok 0) i.conns
-                  in
-                  Hashtbl.remove on_path net;
-                  (match r with
-                  | Ok d -> Hashtbl.replace acyclic net d
-                  | Error _ -> ());
-                  r)
-          in
-          match
-            List.fold_left
-              (fun acc o ->
-                match acc with Error _ -> acc | Ok () -> (
-                  match depth o with
-                  | Ok _ -> Ok ()
-                  | Error net -> Error net))
-              (Ok ()) t.outputs
-          with
-          | Ok () -> Ok ()
-          | Error net ->
-            Core.Diag.failf ~stage
-              ~context:[ ("net", net) ]
-              "combinational cycle through net %s" net)))))
+            "instance %s uses unknown cell %s" i.inst_name i.cell)
+      0
+  in
+  let* () =
+    each
+      (fun k i ->
+        match
+          List.find_opt
+            (fun pin -> not (List.mem_assoc pin i.conns))
+            (Option.get pins.(k))
+        with
+        | Some pin ->
+          Core.Diag.failf ~stage
+            ~context:[ ("instance", i.inst_name); ("pin", pin) ]
+            "instance %s leaves pin %s unbound" i.inst_name pin
+        | None -> Ok ())
+      0
+  in
+  (* depth-first search from each design output in order, through each
+     instance's pins in order, stopping at primary inputs; a net whose
+     whole fan-in cone proved acyclic is not searched again, which
+     cannot change the net a cycle is reported on *)
+  let fresh = 0 and on_path = 1 and acyclic = 2 in
+  let state = Array.make cap fresh in
+  let rec visit id =
+    if is_input.(id) || state.(id) = acyclic || driver.(id) < 0 then Ok ()
+    else if state.(id) = on_path then Error id
+    else begin
+      state.(id) <- on_path;
+      let r = visit_all fanin.(driver.(id)) in
+      state.(id) <- (if Result.is_ok r then acyclic else fresh);
+      r
+    end
+  and visit_all = function
+    | [] -> Ok ()
+    | id :: rest ->
+      let* () = visit id in
+      visit_all rest
+  in
+  match visit_all (List.map (Hashtbl.find ids) t.outputs) with
+  | Ok () -> Ok ()
+  | Error id ->
+    Core.Diag.failf ~stage
+      ~context:[ ("net", names.(id)) ]
+      "combinational cycle through net %s" names.(id)
 
 (* Evaluation against an already-validated netlist.  Validation guarantees
    every instance input is driven or primary and every cell name resolves,

@@ -67,12 +67,12 @@ let unique_cells (s : spec) (placement : Placer.t) =
 
 let pass_names = [ "validate"; "place"; "layout"; "export" ]
 
-let run_passes ~trace (s : spec) =
+let run_passes ?trace (s : spec) =
   let ( let* ) = Result.bind in
   let t0 = Unix.gettimeofday () in
   let reports = ref [] in
   let step name ~counters run =
-    let result, report = Core.Pass.step ~trace ~counters name run in
+    let result, report = Core.Pass.step ?trace ~counters name run in
     reports := report :: !reports;
     result
   in
@@ -157,8 +157,8 @@ let telemetry_trace = function
       ~attrs:[ ("error", Telemetry.String (Core.Diag.to_string d)) ]
       n
 
-let run ?(trace = ignore) (s : spec) =
-  if not (Telemetry.enabled ()) then run_passes ~trace s
+let run ?trace (s : spec) =
+  if not (Telemetry.enabled ()) then run_passes ?trace s
   else
     Telemetry.with_span "flow"
       ~attrs:
@@ -169,6 +169,6 @@ let run ?(trace = ignore) (s : spec) =
     @@ fun () ->
     run_passes
       ~trace:(fun e ->
-        trace e;
+        Option.iter (fun f -> f e) trace;
         telemetry_trace e)
       s

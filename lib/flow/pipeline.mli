@@ -1,6 +1,7 @@
 (** The logic-to-GDSII flow: four passes in a row (validate the netlist,
     place it, collect its cell layouts, export the GDS stream), each
-    timed and measured by {!Core.Pass.step}. *)
+    timed by {!Core.Pass.step}, which measures its artifact-size
+    counters only when they are read. *)
 
 type spec = {
   netlist : Netlist_ir.t;
@@ -42,4 +43,9 @@ val run : ?trace:(Core.Pass.trace_event -> unit)
     pass becomes a span carrying its artifact counters, and a failure
     closes its span with the diagnostic (bumping [flow.pass_failures]).
     [?trace] sees the same events, so one Chrome trace covers
-    validate→export. *)
+    validate→export.
+
+    The counters (e.g. [place]'s [hpwl], a pass over every net) are
+    computed when read: by the report's renderers, by an attached
+    [?trace], or by telemetry.  With no trace and telemetry off, the run
+    computes none of them, and [total_s] covers the passes alone. *)

@@ -84,81 +84,123 @@ let rows ~lib ?(aspect = 1.0) netlist =
       cell_area;
     }
 
-(* First-fit decreasing height shelf packing. *)
+(* A shelf of the scheme-2 packing. *)
+type shelf = {
+  shelf_y : int;
+  shelf_h : int;
+  mutable used : int;  (** width taken so far, spacing included *)
+  mutable placed : placed_cell list;  (** last-placed first *)
+}
+
+(* First-fit decreasing height shelf packing over arrays: the sized cells
+   sorted tallest first (ties in netlist order), and the open shelves in
+   the order they were opened.  A shelf closes once the narrowest cell
+   of the design no longer fits beside its cells, so first fit scans only
+   shelves that can still take a cell.  The cells come out shelf by
+   shelf, each shelf's last-placed cell first. *)
 let shelves ~lib ?(aspect = 1.0) netlist =
   let instances = netlist.Netlist_ir.instances in
   let* sized = sized_instances lib `S2 instances in
+  let sized = Array.of_list sized in
   let spacing = 1 in
   let total_area =
-    List.fold_left (fun acc (_, (w, h)) -> acc + ((w + spacing) * h)) 0 sized
+    Array.fold_left (fun acc (_, (w, h)) -> acc + ((w + spacing) * h)) 0 sized
   in
   let bin_w = target_row_width total_area aspect in
-  let sorted =
-    List.sort
-      (fun (_, (_, h1)) (_, (_, h2)) -> Stdlib.compare h2 h1)
-      sized
+  Array.stable_sort (fun (_, (_, h1)) (_, (_, h2)) -> Int.compare h2 h1) sized;
+  let narrowest =
+    Array.fold_left (fun m (_, (w, _)) -> min m w) max_int sized
   in
-  (* shelves: (y, height, used_width, cells) *)
-  let place shelves (i, (w, h)) =
-    let rec fit acc = function
-      | (y, sh, used, cs) :: rest when used + w <= bin_w && h <= sh ->
-        let cell = { inst = i; x = used; y; cell_width = w; cell_height = h } in
-        List.rev_append acc ((y, sh, used + w + spacing, cell :: cs) :: rest)
-      | shelf :: rest -> fit (shelf :: acc) rest
-      | [] ->
-        let y =
-          List.fold_left (fun m (sy, sh, _, _) -> max m (sy + sh + spacing)) 0
-            (List.rev acc)
-        in
-        let cell = { inst = i; x = 0; y; cell_width = w; cell_height = h } in
-        List.rev_append acc [ (y, h, w + spacing, [ cell ]) ]
-    in
-    fit [] shelves
+  let opened = ref [] and next_y = ref 0 in
+  let open_ =
+    Array.make (Array.length sized)
+      { shelf_y = 0; shelf_h = 0; used = 0; placed = [] }
   in
-  let final = List.fold_left place [] sorted in
-  let cells = List.concat_map (fun (_, _, _, cs) -> cs) final in
-  let die_width =
-    List.fold_left (fun m c -> max m (c.x + c.cell_width)) 0 cells
+  let n_open = ref 0 in
+  let die_width = ref 0 and die_height = ref 0 and cell_area = ref 0 in
+  let place s (i, (w, h)) =
+    let x = s.used and y = s.shelf_y in
+    s.placed <- { inst = i; x; y; cell_width = w; cell_height = h } :: s.placed;
+    s.used <- x + w + spacing;
+    die_width := max !die_width (x + w);
+    die_height := max !die_height (y + h);
+    cell_area := !cell_area + (w * h)
   in
-  let die_height =
-    List.fold_left (fun m c -> max m (c.y + c.cell_height)) 0 cells
+  let rec first_fit w h j =
+    if j = !n_open then None
+    else
+      let s = open_.(j) in
+      if s.used + w <= bin_w && h <= s.shelf_h then Some j
+      else first_fit w h (j + 1)
   in
-  let cell_area =
-    List.fold_left (fun acc c -> acc + (c.cell_width * c.cell_height)) 0 cells
-  in
-  Ok { scheme = `Shelves; cells; die_width; die_height; cell_area }
+  Array.iter
+    (fun ((_, (w, h)) as cell) ->
+      match first_fit w h 0 with
+      | Some j ->
+        let s = open_.(j) in
+        place s cell;
+        if s.used + narrowest > bin_w then begin
+          Array.blit open_ (j + 1) open_ j (!n_open - j - 1);
+          decr n_open
+        end
+      | None ->
+        let s = { shelf_y = !next_y; shelf_h = h; used = 0; placed = [] } in
+        place s cell;
+        opened := s :: !opened;
+        next_y := s.shelf_y + h + spacing;
+        if s.used + narrowest <= bin_w then begin
+          open_.(!n_open) <- s;
+          incr n_open
+        end)
+    sized;
+  Ok
+    {
+      scheme = `Shelves;
+      cells = List.concat_map (fun s -> s.placed) (List.rev !opened);
+      die_width = !die_width;
+      die_height = !die_height;
+      cell_area = !cell_area;
+    }
 
-let wirelength_estimate t netlist =
-  (* one pass over the placed cells builds net -> pin-center bounding box
-     (HPWL needs nothing else), replacing the per-net scan of every cell;
-     a cell contributes one pin position per distinct net it touches,
-     exactly as the old reads-or-writes predicate did *)
-  let boxes : (string, int * int * int * int * int) Hashtbl.t =
+(* One pass over the placed cells builds each net's pin-center bounding
+   box (HPWL needs nothing else); a cell contributes one pin position per
+   distinct net it touches, its output and its inputs alike.  The sum runs
+   over the boxes themselves: for a placement of [netlist] they are
+   exactly the netlist's nets. *)
+type box = {
+  mutable x0 : int;
+  mutable x1 : int;
+  mutable y0 : int;
+  mutable y1 : int;
+  mutable pins : int;
+  mutable last : int;  (** index of the last cell that touched the net *)
+}
+
+let wirelength_estimate t _netlist =
+  let boxes : (string, box) Hashtbl.t =
     Hashtbl.create (1 + List.length t.cells)
   in
-  List.iter
-    (fun c ->
+  List.iteri
+    (fun k c ->
       let px = c.x + (c.cell_width / 2) and py = c.y + (c.cell_height / 2) in
-      List.iter
-        (fun net ->
-          match Hashtbl.find_opt boxes net with
-          | None -> Hashtbl.replace boxes net (px, px, py, py, 1)
-          | Some (x0, x1, y0, y1, k) ->
-            Hashtbl.replace boxes net
-              (min x0 px, max x1 px, min y0 py, max y1 py, k + 1))
-        (List.sort_uniq Stdlib.compare
-           (c.inst.Netlist_ir.output :: List.map snd c.inst.Netlist_ir.conns)))
+      let touch net =
+        match Hashtbl.find_opt boxes net with
+        | None ->
+          Hashtbl.add boxes net
+            { x0 = px; x1 = px; y0 = py; y1 = py; pins = 1; last = k }
+        | Some b when b.last <> k ->
+          b.x0 <- min b.x0 px;
+          b.x1 <- max b.x1 px;
+          b.y0 <- min b.y0 py;
+          b.y1 <- max b.y1 py;
+          b.pins <- b.pins + 1;
+          b.last <- k
+        | Some _ -> ()
+      in
+      touch c.inst.Netlist_ir.output;
+      List.iter (fun (_, net) -> touch net) c.inst.Netlist_ir.conns)
     t.cells;
-  let nets =
-    List.concat_map
-      (fun (i : Netlist_ir.instance) ->
-        i.Netlist_ir.output :: List.map snd i.Netlist_ir.conns)
-      netlist.Netlist_ir.instances
-    |> List.sort_uniq Stdlib.compare
-  in
-  List.fold_left
-    (fun acc net ->
-      match Hashtbl.find_opt boxes net with
-      | Some (x0, x1, y0, y1, k) when k >= 2 -> acc + (x1 - x0) + (y1 - y0)
-      | _ -> acc)
-    0 nets
+  Hashtbl.fold
+    (fun _ b acc ->
+      if b.pins >= 2 then acc + (b.x1 - b.x0) + (b.y1 - b.y0) else acc)
+    boxes 0

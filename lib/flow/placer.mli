@@ -41,7 +41,13 @@ val rows : lib:Stdcell.Library.t -> ?aspect:float -> Netlist_ir.t
 
 val shelves : lib:Stdcell.Library.t -> ?aspect:float -> Netlist_ir.t
   -> (t, Core.Diag.t) result
-(** Scheme-2 shelf packing using the scheme-2 layouts. *)
+(** Scheme-2 shelf packing using the scheme-2 layouts: cells tallest first
+    (ties in netlist order), each on the first shelf, in opening order,
+    with room for it, or on a new shelf stacked above the others.  The
+    cells are listed shelf by shelf, each shelf's last-placed cell
+    first. *)
 
 val wirelength_estimate : t -> Netlist_ir.t -> int
-(** Half-perimeter wirelength over all nets, in lambda. *)
+(** Half-perimeter wirelength, in lambda, of every net two or more placed
+    cells touch, each cell counted once per net, at its center.  [t] must
+    be a placement of the netlist: the nets are read from [t]'s cells. *)

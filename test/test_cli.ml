@@ -125,6 +125,58 @@ let flow_golden () =
        gds);
   check_str "gds digest" "61e571a19889ce37101075de60710e74" (md5 (slurp gds))
 
+(* [s] with the number after each occurrence of [key] replaced by [_] *)
+let mask ~key s =
+  let b = Buffer.create (String.length s) in
+  let n = String.length s and k = String.length key in
+  let numeric c = (c >= '0' && c <= '9') || String.contains ".eE+-" c in
+  let rec go i =
+    if i < n then
+      if i + k <= n && String.sub s i k = key then begin
+        Buffer.add_string b key;
+        Buffer.add_char b '_';
+        let j = ref (i + k) in
+        while !j < n && numeric s.[!j] do incr j done;
+        go !j
+      end
+      else begin
+        Buffer.add_char b s.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents b
+
+(* The pass report and the trace, wall times masked, as they were when
+   every run computed its counters: counters computed on demand read
+   the same. *)
+let flow_report_golden () =
+  with_temp ".gds" @@ fun gds ->
+  let s, out, err =
+    cnfet_dk
+      [ "flow"; "--design"; "mult8"; "-o"; gds; "--report"; "json"; "--trace" ]
+  in
+  check_int "status" 0 s;
+  check_str "report"
+    (Printf.sprintf
+       {|mult8: 584 cells, die 434x483 lambda, utilization 0.65
+wrote %s
+{"total_s":_,"passes":[{"name":"validate","wall_s":_,"counters":{"instances":584,"nets":600}},{"name":"place","wall_s":_,"counters":{"cells":584,"die_area":209622,"hpwl":77824}},{"name":"layout","wall_s":_,"counters":{"unique_cells":4,"layers":32}},{"name":"export","wall_s":_,"counters":{"structures":5,"gds_bytes":799792}}]}
+|}
+       gds)
+    (out |> mask ~key:{|"total_s":|} |> mask ~key:{|"wall_s":|});
+  check_str "trace"
+    {|trace: -> validate
+trace: <- validate (_ ms) instances=584 nets=600
+trace: -> place
+trace: <- place (_ ms) cells=584 die_area=209622 hpwl=77824
+trace: -> layout
+trace: <- layout (_ ms) unique_cells=4 layers=32
+trace: -> export
+trace: <- export (_ ms) structures=5 gds_bytes=799792
+|}
+    (mask ~key:" (" err)
+
 (* --- the CLI prints the runner's documents --- *)
 
 let runner_document job =
@@ -203,6 +255,7 @@ let suite =
     Alcotest.test_case "characterize golden" `Quick characterize_golden;
     Alcotest.test_case "dse golden" `Quick dse_golden;
     Alcotest.test_case "flow golden" `Quick flow_golden;
+    Alcotest.test_case "flow report golden" `Quick flow_report_golden;
     Alcotest.test_case "json matches runner" `Quick json_matches_runner;
     Alcotest.test_case "unknown cell exits 2" `Quick unknown_cell_exits_2;
     Alcotest.test_case "negative load exits 2" `Quick negative_load_exits_2;

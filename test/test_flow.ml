@@ -21,23 +21,34 @@ let simple_netlist () =
 let validate_good () =
   checkb "valid" true (Flow.Netlist_ir.validate (simple_netlist ()) = Ok ())
 
+(* [validate]'s diagnostic, as the CLI prints it *)
+let validation n =
+  match Flow.Netlist_ir.validate n with
+  | Ok () -> "ok"
+  | Error d -> Core.Diag.to_string d
+
+(* Z and Y are each driven twice, Z first: the smallest such net is named *)
 let validate_multi_driver () =
   let n =
     { (simple_netlist ()) with
       Flow.Netlist_ir.instances =
         [ inst "u1" "INV" 1 "Z" [ ("A", "A") ];
-          inst "u2" "INV" 1 "Z" [ ("A", "A") ] ] }
+          inst "u2" "INV" 1 "Z" [ ("A", "A") ];
+          inst "u3" "INV" 1 "Y" [ ("A", "A") ];
+          inst "u4" "INV" 1 "Y" [ ("A", "A") ] ] }
   in
-  checkb "multi driver" true
-    (match Flow.Netlist_ir.validate n with Error _ -> true | Ok () -> false)
+  Alcotest.(check string) "multi driver"
+    "netlist: error: net Y has multiple drivers (net=Y)" (validation n)
 
 let validate_undriven () =
   let n =
     { (simple_netlist ()) with
       Flow.Netlist_ir.instances = [ inst "u1" "INV" 1 "Z" [ ("A", "ghost") ] ] }
   in
-  checkb "undriven input" true
-    (match Flow.Netlist_ir.validate n with Error _ -> true | Ok () -> false)
+  Alcotest.(check string) "undriven input"
+    "netlist: error: instance u1 reads undriven net ghost (instance=u1, \
+     net=ghost)"
+    (validation n)
 
 let validate_cycle () =
   let n =
@@ -50,8 +61,44 @@ let validate_cycle () =
           inst "u2" "INV" 1 "w" [ ("A", "Z") ] ];
     }
   in
-  checkb "cycle rejected" true
-    (match Flow.Netlist_ir.validate n with Error _ -> true | Ok () -> false)
+  Alcotest.(check string) "cycle rejected"
+    "netlist: error: combinational cycle through net Z (net=Z)" (validation n)
+
+(* The rest of the rules, each on the buffer chain with one defect; the
+   expected strings are those of the name-keyed validation the interned
+   one replaced. *)
+let validate_diagnostics () =
+  let base = simple_netlist () in
+  let cases =
+    [
+      ( "undriven output",
+        { base with Flow.Netlist_ir.outputs = [ "Z"; "Q" ] },
+        "netlist: error: design output Q is undriven (output=Q)" );
+      ( "unknown cell",
+        { base with
+          Flow.Netlist_ir.instances = [ inst "u1" "FOO" 1 "Z" [ ("A", "A") ] ] },
+        "netlist: error: instance u1 uses unknown cell FOO (instance=u1, \
+         cell=FOO)" );
+      ( "unbound pin",
+        { base with
+          Flow.Netlist_ir.instances =
+            [ inst "u1" "AOI21" 1 "Z" [ ("A1", "A"); ("B", "A") ] ] },
+        "netlist: error: instance u1 leaves pin A2 unbound (instance=u1, \
+         pin=A2)" );
+      (* a loop that no design output reads is not searched *)
+      ( "cycle outside every output cone",
+        { base with
+          Flow.Netlist_ir.instances =
+            base.Flow.Netlist_ir.instances
+            @ [ inst "u3" "INV" 1 "p" [ ("A", "q") ];
+                inst "u4" "INV" 1 "q" [ ("A", "p") ] ] },
+        "ok" );
+    ]
+  in
+  List.iter
+    (fun (label, n, expected) ->
+      Alcotest.(check string) label expected (validation n))
+    cases
 
 let eval_buffer () =
   let n = simple_netlist () in
@@ -249,6 +296,91 @@ let wirelength_positive () =
   let p = ok (Flow.Placer.rows ~lib fa) in
   checkb "positive wirelength" true (Flow.Placer.wirelength_estimate p fa > 0)
 
+(* A generated design and the library the CLI builds for it, over the
+   drives it uses; shared by the tests that place the big designs. *)
+let generated =
+  let memo = Hashtbl.create 8 in
+  fun spec ->
+    match Hashtbl.find_opt memo spec with
+    | Some d -> d
+    | None ->
+      let n = ok (Flow.Generate.of_spec spec) in
+      let drives =
+        List.sort_uniq compare
+          (List.map
+             (fun (i : Flow.Netlist_ir.instance) -> i.Flow.Netlist_ir.drive)
+             n.Flow.Netlist_ir.instances)
+      in
+      let d = (n, Stdcell.Library.cnfet_exn ~drives ()) in
+      Hashtbl.add memo spec d;
+      d
+
+(* HPWL pinned at both schemes, at the values the net-sorting estimate
+   gave before it summed its boxes directly. *)
+let wirelength_pinned () =
+  List.iter
+    (fun (design, s1, s2) ->
+      let n, lib = generated design in
+      check_int (design ^ " S1 hpwl") s1
+        (Flow.Placer.wirelength_estimate (ok (Flow.Placer.rows ~lib n)) n);
+      check_int (design ^ " S2 hpwl") s2
+        (Flow.Placer.wirelength_estimate (ok (Flow.Placer.shelves ~lib n)) n))
+    [
+      ("mult8", 77824, 182069);
+      ("mult32", 3573962, 13501046);
+      ("rand10000s1", 17841926, 20033501);
+    ]
+
+(* A library of one INV per size, at drives 1, 2, ...: instance [k] of
+   the matching netlist is sized exactly [List.nth sizes k] under S2. *)
+let sized_design sizes =
+  let base = Stdcell.Library.find_exn lib ~name:"INV" ~drive:1 in
+  let entries =
+    List.mapi
+      (fun k (w, h) ->
+        { base with
+          Stdcell.Library.cell_name = Printf.sprintf "INV_%dX" (k + 1);
+          drive = k + 1;
+          scheme2 =
+            { base.Stdcell.Library.scheme2 with
+              Layout.Cell.width = w; height = h } })
+      sizes
+  in
+  let instances =
+    List.mapi
+      (fun k _ ->
+        inst (Printf.sprintf "u%d" k) "INV" (k + 1) (Printf.sprintf "n%d" k)
+          [ ("A", "A") ])
+      sizes
+  in
+  ( { lib with Stdcell.Library.entries },
+    { Flow.Netlist_ir.design = "sized"; inputs = [ "A" ]; outputs = [];
+      instances } )
+
+(* Shelf packing equals the list-based packer it replaced, placement for
+   placement: random sizes, all-equal heights (long shelves), and a cell
+   wider than the bin (a shelf full from its first cell), at aspects
+   0.5-2.0. *)
+let shelves_match_oracle =
+  QCheck.Test.make ~name:"shelves equal the list-based oracle" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (sizes, aspect) ->
+          Printf.sprintf "aspect %h: %s" aspect
+            (String.concat " "
+               (List.map (fun (w, h) -> Printf.sprintf "%dx%d" w h) sizes)))
+        Gen.(
+          let* kind = int_range 0 2 in
+          let* h0 = int_range 1 30 in
+          let height = if kind = 1 then return h0 else int_range 1 30 in
+          let* sizes = list_size (int_range 0 80) (pair (int_range 1 40) height) in
+          let* wide = int_range 200 2000 in
+          let* aspect = float_range 0.5 2.0 in
+          return ((if kind = 2 then (wide, h0) :: sizes else sizes), aspect)))
+    (fun (sizes, aspect) ->
+      let lib, n = sized_design sizes in
+      Flow.Placer.shelves ~lib ~aspect n = Shelves_oracle.shelves ~lib ~aspect n)
+
 (* --- synthetic netlist generators --- *)
 
 let generate_multiplier_correct () =
@@ -378,6 +510,10 @@ let gds_goldens () =
       ("lfsr16x40", `S2, "93d120c0022e4584ef93f9820e5cdfb5", 419096, 3);
       ("mult11", `S1, "dc49038ef3dc783d30d331bfb4597472", 1563568, 5);
       ("mult11", `S2, "c12cead0dae74262a781b4283e7a96e7", 1563568, 5);
+      ("mult32", `S1, "ace1f366841b658d02cb40571b47f499", 14038576, 5);
+      ("mult32", `S2, "58c7516f506a76ff78c78cdb2faae9e0", 14038576, 5);
+      ("rand10000s1", `S1, "8bfe53635c4ecba01b02cfdadbf39d8d", 21699836, 9);
+      ("rand10000s1", `S2, "cfdd33624f53d34820d41d6a3a2029f7", 21699836, 9);
     ]
   in
   List.iter
@@ -386,14 +522,7 @@ let gds_goldens () =
         Printf.sprintf "%s %s" design
           (match scheme with `S1 -> "S1" | `S2 -> "S2")
       in
-      let n = ok (Flow.Generate.of_spec design) in
-      let drives =
-        List.sort_uniq compare
-          (List.map
-             (fun (i : Flow.Netlist_ir.instance) -> i.Flow.Netlist_ir.drive)
-             n.Flow.Netlist_ir.instances)
-      in
-      let lib = Stdcell.Library.cnfet_exn ~drives () in
+      let n, lib = generated design in
       let result, report =
         Flow.Pipeline.run (Flow.Pipeline.spec_of_netlist ~scheme ~lib n)
       in
@@ -410,7 +539,7 @@ let gds_goldens () =
       Alcotest.(check (list (pair string int)))
         (label ^ " export counters")
         [ ("structures", structures); ("gds_bytes", bytes) ]
-        export.Core.Pass.counters)
+        (Lazy.force export.Core.Pass.counters))
     goldens
 
 (* The order contract of Gds_export, from an oracle that knows nothing of
@@ -659,6 +788,7 @@ let suite =
     Alcotest.test_case "validate multi-driver" `Quick validate_multi_driver;
     Alcotest.test_case "validate undriven" `Quick validate_undriven;
     Alcotest.test_case "validate cycle" `Quick validate_cycle;
+    Alcotest.test_case "validate diagnostics" `Quick validate_diagnostics;
     Alcotest.test_case "eval buffer" `Quick eval_buffer;
     Alcotest.test_case "stats census" `Quick stats_census;
     Alcotest.test_case "parse round-trip" `Quick parse_roundtrip;
@@ -674,6 +804,8 @@ let suite =
     Alcotest.test_case "placer shelves" `Quick placer_shelves;
     Alcotest.test_case "scheme area gains" `Quick placer_scheme_gains;
     Alcotest.test_case "wirelength positive" `Quick wirelength_positive;
+    Alcotest.test_case "wirelength pinned" `Quick wirelength_pinned;
+    QCheck_alcotest.to_alcotest shelves_match_oracle;
     Alcotest.test_case "gds export placement" `Quick gds_export_placement;
     Alcotest.test_case "gds goldens" `Quick gds_goldens;
     Alcotest.test_case "gds long design name" `Quick gds_long_design_name;

@@ -94,7 +94,29 @@ let step_runs_and_measures () =
   check_str "pass name" "double" report.Core.Pass.pass_name;
   checkb "wall time measured" true (report.Core.Pass.wall_s >= 0.);
   checkb "counters measured on the output" true
-    (report.Core.Pass.counters = [ ("value", 10) ])
+    (Lazy.force report.Core.Pass.counters = [ ("value", 10) ])
+
+(* Counters are computed once, when read: at the exit event of a traced
+   step, on first force of an untraced one. *)
+let step_counters_on_demand () =
+  let calls = ref 0 in
+  let counters x =
+    incr calls;
+    value x
+  in
+  let _, untraced = Core.Pass.step ~counters "double" (fun () -> Ok 10) in
+  check_int "untraced: not computed" 0 !calls;
+  checkb "untraced: unforced" false (Lazy.is_val untraced.Core.Pass.counters);
+  ignore (Core.Pass.report_to_text { passes = [ untraced ]; total_s = 0. });
+  ignore (Core.Pass.report_to_json { passes = [ untraced ]; total_s = 0. });
+  check_int "rendered twice, computed once" 1 !calls;
+  let _, traced =
+    Core.Pass.step ~trace:ignore ~counters "double" (fun () -> Ok 10)
+  in
+  check_int "traced: computed at exit" 2 !calls;
+  checkb "traced: same counters" true
+    (Lazy.force traced.Core.Pass.counters = [ ("value", 10) ]);
+  check_int "traced: not recomputed" 2 !calls
 
 let step_failure_tags_the_pass () =
   let seen = ref [] in
@@ -110,7 +132,8 @@ let step_failure_tags_the_pass () =
     check_str "failing stage" "boom" d.Core.Diag.stage;
     checkb "pass recorded in context" true
       (List.assoc_opt "pass" d.Core.Diag.context = Some "boom"));
-  checkb "a failed pass has no counters" true (report.Core.Pass.counters = []);
+  checkb "a failed pass has no counters" true
+    (Lazy.force report.Core.Pass.counters = []);
   match List.rev !seen with
   | [ enter; failed ] ->
     check_str "enter" "-> boom" enter;
@@ -183,6 +206,29 @@ let pipeline_stops_on_error () =
     "ran validate then place" [ "validate"; "place" ]
     (List.map (fun p -> p.Core.Pass.pass_name) report.Core.Pass.passes)
 
+(* The untraced flow with telemetry off leaves every pass's counters
+   unforced; forced afterwards, they are what a traced run reports. *)
+let flow_counters_on_demand () =
+  let spec = Flow.Pipeline.spec_of_netlist ~lib (Flow.Full_adder.netlist ()) in
+  checkb "telemetry off" false (Telemetry.enabled ());
+  let _, report = Flow.Pipeline.run spec in
+  List.iter
+    (fun p ->
+      checkb (p.Core.Pass.pass_name ^ " counters unforced") false
+        (Lazy.is_val p.Core.Pass.counters))
+    report.Core.Pass.passes;
+  let exits = ref [] in
+  let trace = function
+    | Core.Pass.Exit (name, _, counters) -> exits := (name, counters) :: !exits
+    | Core.Pass.Enter _ | Core.Pass.Failed _ -> ()
+  in
+  ignore (Flow.Pipeline.run ~trace spec);
+  Alcotest.(check (list (pair string (list (pair string int)))))
+    "forced counters equal the traced ones" (List.rev !exits)
+    (List.map
+       (fun p -> (p.Core.Pass.pass_name, Lazy.force p.Core.Pass.counters))
+       report.Core.Pass.passes)
+
 let flow_reports_diagnostics () =
   (* an unknown cell fails validation with a stage-tagged diagnostic, and
      the report still covers the passes that ran *)
@@ -220,10 +266,12 @@ let suite =
     Alcotest.test_case "step runs and measures" `Quick step_runs_and_measures;
     Alcotest.test_case "step failure tags the pass" `Quick
       step_failure_tags_the_pass;
+    Alcotest.test_case "step counters on demand" `Quick step_counters_on_demand;
     Alcotest.test_case "trace events" `Quick trace_events;
     Alcotest.test_case "report rendering" `Quick report_rendering;
     Alcotest.test_case "flow runs" `Slow flow_runs;
     Alcotest.test_case "pipeline stops on error" `Quick pipeline_stops_on_error;
+    Alcotest.test_case "flow counters on demand" `Quick flow_counters_on_demand;
     Alcotest.test_case "flow reports diagnostics" `Quick
       flow_reports_diagnostics;
   ]

@@ -96,7 +96,7 @@ let lib = Stdcell.Library.cnfet_exn ~drives:[ 2; 4; 7; 9 ] ()
 let pipeline_bridge () =
   recording (fun () ->
       let spec = Flow.Pipeline.spec_of_netlist ~lib (Flow.Full_adder.netlist ()) in
-      let r, _ = Flow.Pipeline.run spec in
+      let r, report = Flow.Pipeline.run spec in
       (match r with
       | Error d -> Alcotest.fail (Core.Diag.to_string d)
       | Ok _ -> ());
@@ -106,7 +106,19 @@ let pipeline_bridge () =
         (fun pass ->
           checkb (pass ^ " span under flow") true
             (List.mem (Some "flow", pass, 1) shape))
-        Flow.Pipeline.pass_names)
+        Flow.Pipeline.pass_names;
+      (* the bridge is a reader: it forces the counters into the spans *)
+      List.iter
+        (fun (p : Core.Pass.pass_report) ->
+          checkb (p.Core.Pass.pass_name ^ " counters forced") true
+            (Lazy.is_val p.Core.Pass.counters))
+        report.Core.Pass.passes;
+      checkb "place span carries hpwl" true
+        (List.exists
+           (fun sp ->
+             sp.Telemetry.name = "place"
+             && List.mem_assoc "hpwl" sp.Telemetry.attrs)
+           snap.Telemetry.spans))
 
 (* --- exporters --- *)
 
@@ -512,7 +524,7 @@ let exports_gen =
     let+ pass_name = tricky
     and+ wall_s = finite
     and+ counters = list (pair tricky small_nat) in
-    { Core.Pass.pass_name; wall_s; counters }
+    { Core.Pass.pass_name; wall_s; counters = Lazy.from_val counters }
   in
   let+ spans = list span
   and+ counters = list (pair tricky small_nat)
@@ -610,7 +622,8 @@ let exporters_parse_back =
            (fun (p : Core.Pass.pass_report) j ->
              Json.to_str (get "name" j) = Some p.Core.Pass.pass_name
              && Json.to_float (get "wall_s" j) = Some p.Core.Pass.wall_s
-             && same_names p.Core.Pass.counters (get "counters" j))
+             && same_names (Lazy.force p.Core.Pass.counters)
+                  (get "counters" j))
            x.report.Core.Pass.passes
            (arr (get "passes" report))
       && of_json diag = x.diag
